@@ -114,6 +114,10 @@ Server::~Server() {
     if (t.joinable()) t.join();
   }
   if (ticker_.joinable()) ticker_.join();
+  // Sessions the drain pass shut down still hold their descriptor.
+  for (const auto& conn : connections_) {
+    if (conn->close_fds) CloseFd(conn->fd_in);
+  }
   CloseFd(unix_fd_);
   CloseFd(tcp_fd_);
   CloseFd(wake_pipe_[0]);
@@ -168,8 +172,11 @@ void Server::Run() {
   }
 
   // Graceful drain: stop admitting, let running jobs finish, then say
-  // goodbye to every still-open session and close it; the session
-  // threads see EOF and exit, and the destructor joins them.
+  // goodbye to every still-open session and shut its socket down; the
+  // session threads see EOF and exit.  The descriptor itself is closed
+  // only by the destructor, after it joined them: a session thread may
+  // still be inside read() on it, and closing a descriptor another
+  // thread reads lets the number be reused under that read.
   service_.Drain();
   std::vector<std::shared_ptr<Connection>> conns;
   {
@@ -181,11 +188,7 @@ void Server::Run() {
     if (!conn->open) continue;
     WriteFrame(conn->fd_out, BuildGoodbye());
     conn->open = false;
-    if (conn->close_fds) {
-      ::shutdown(conn->fd_in, SHUT_RDWR);
-      CloseFd(conn->fd_in);
-      conn->fd_out = -1;
-    }
+    if (conn->close_fds) ::shutdown(conn->fd_in, SHUT_RDWR);
   }
 }
 

@@ -577,10 +577,11 @@ void Service::FinishJob(JobRec& rec, JobState state, std::string result_json,
   // frame this callback writes.  Wait()ers also only wake once the
   // result was delivered.
   if (callback) callback(record);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    --outstanding_;
-  }
+  // Notify under the lock: once outstanding_ reaches 0, ~Service ->
+  // Drain() may return and destroy done_cv_ as soon as it can retake
+  // the mutex, so no member may be touched after the unlock.
+  std::lock_guard<std::mutex> lock(mutex_);
+  --outstanding_;
   done_cv_.notify_all();
 }
 

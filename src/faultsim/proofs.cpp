@@ -73,9 +73,6 @@ void RunBatches(const netlist::Circuit& circuit,
                 const std::vector<std::vector<V3>>& good_outputs,
                 const std::vector<size_t>& order, ProofsResult& result) {
   constexpr int kLanes = Vec3<W>::kLanes;
-  std::optional<sim::WideTrace<W>> wide_trace;
-  if (options.cone_restricted) wide_trace.emplace(*trace);
-
   const size_t num_batches =
       (faults.size() + static_cast<size_t>(kLanes) - 1) /
       static_cast<size_t>(kLanes);
@@ -122,7 +119,7 @@ void RunBatches(const netlist::Circuit& circuit,
 
     for (size_t t = 0; t < sequence.size(); ++t) {
       if (options.cone_restricted) {
-        frame.Step(sequence[t], ws.state, wide_trace->frame(t));
+        frame.Step(sequence[t], ws.state, trace->frame(t));
       } else {
         frame.Step(sequence[t], ws.state);
       }
@@ -237,9 +234,15 @@ ProofsResult SimulateProofs(const netlist::Circuit& circuit,
       swept ? std::span<const fault::Fault>(kept_faults) : faults;
   if (active.empty()) return result;  // everything resolved statically
 
+  const std::vector<size_t> order =
+      BatchOrder(circuit, active, options.sort_faults);
+  const std::shared_ptr<const sim::CompiledNetlist> compiled =
+      sim::Compile(circuit, swept ? &swept->report : nullptr);
+
   // Good-machine responses once, shared read-only by every batch.  The
-  // cone-restricted mode needs the full per-node trace (non-cone values
-  // are seeded from it); full evaluation only needs the PO responses.
+  // cone-restricted mode needs the full per-node scalar trace (non-cone
+  // values are read from it), evaluated in place on the compiled image
+  // the batches share; full evaluation only needs the PO responses.
   // Under sweep the trace is simulated on the reduced circuit and
   // expanded through the node map — identical values for every live
   // node, and PO responses identical outright.
@@ -251,7 +254,7 @@ ProofsResult SimulateProofs(const netlist::Circuit& circuit,
       if (swept) {
         trace.emplace(circuit, sequence, *swept);
       } else {
-        trace.emplace(circuit, sequence);
+        trace.emplace(*compiled, sequence);
       }
     } else {
       sim::Simulator good(swept ? swept->circuit : circuit);
@@ -261,11 +264,6 @@ ProofsResult SimulateProofs(const netlist::Circuit& circuit,
   }
   const auto& good_outputs =
       options.cone_restricted ? trace->outputs() : good_po;
-
-  const std::vector<size_t> order =
-      BatchOrder(circuit, active, options.sort_faults);
-  const std::shared_ptr<const sim::CompiledNetlist> compiled =
-      sim::Compile(circuit, swept ? &swept->report : nullptr);
 
   // Under sweep the batch loop runs over the kept (unresolved) faults;
   // its detections are scattered back to input positions afterwards.

@@ -11,8 +11,12 @@
 // configuration:
 //  - cone restriction: a fault can only perturb values inside the
 //    structural fanout cone of its site (transitive through DFFs), so
-//    each fault batch evaluates only the union of its cones and seeds
-//    everything else from a shared read-only good-machine trace;
+//    each fault batch evaluates only the union of its cones and reads
+//    everything else from a shared read-only good-machine trace.  The
+//    trace is scalar (sim::Trace, one V3 per node per frame, evaluated
+//    in place on the run's compiled image), so it costs the same at
+//    every lane width; the frame evaluator broadcasts a good value to
+//    the lane group only where the active frontier reads it;
 //  - batch locality: collapsed faults are ordered by the topological
 //    position of their site before batching, so faults sharing a word
 //    share cones and the union stays small.  Wider lanes amortize the
@@ -27,7 +31,8 @@
 // docs/SIMD.md):
 //  - SimulateProofs is safe to call concurrently from multiple threads
 //    (it shares no mutable state between runs), and each run's workers
-//    share only the immutable good-machine trace and compiled netlist;
+//    share only the immutable scalar good-machine trace and compiled
+//    netlist;
 //    all per-batch scratch is worker-owned and merged by batch index.
 //  - Detections are a pure function of (circuit, faults, sequence,
 //    drop_detected/cone_restricted/sort_faults): bit-identical at any

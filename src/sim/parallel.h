@@ -239,31 +239,6 @@ struct Injection {
   int lane = 0;        ///< which of the frame's 64*W machines it applies to
 };
 
-/// Broadcast (Vec3) image of a good-machine Trace: one vector per node
-/// per frame, shared read-only across batches and threads.  Cone-mode
-/// evaluation compares against and seeds from these words directly,
-/// instead of re-broadcasting scalar trace values on every access.
-template <int W>
-class WideTrace {
- public:
-  explicit WideTrace(const Trace& trace);
-
-  size_t num_frames() const { return frames_; }
-
-  /// All node vectors of the good machine at frame t.
-  std::span<const Vec3<W>> frame(size_t t) const {
-    return {words_.data() + t * num_nodes_, num_nodes_};
-  }
-
- private:
-  size_t frames_ = 0;
-  size_t num_nodes_ = 0;
-  std::vector<Vec3<W>> words_;  // frame-major
-};
-
-/// 64-lane compatibility name.
-using WordTrace = WideTrace<1>;
-
 /// One-clock-frame evaluator over 64*W parallel machines with fault
 /// injection.  Owns per-node vector storage; the caller owns the state.
 ///
@@ -274,15 +249,20 @@ using WordTrace = WideTrace<1>;
 ///  - cone-restricted: after RestrictToInjectionCones(), evaluation is
 ///    limited to the union of the injection sites' structural fanout
 ///    cones (transitive through DFFs) — the activity mask.  Everything
-///    outside behaves exactly like the good machine and is read from a
-///    cached good-machine WideTrace (the PROOFS insight: a fault cannot
-///    perturb values outside its fanout cone).  Within the cone the
-///    evaluation is event-driven: dirty nodes (vector differs from the
-///    good machine this frame) schedule their cone fanouts into
-///    per-level buckets, so only gates on the active frontier are
-///    visited at all.  Detected faults can be retired per lane with
-///    DropLanes, after which their lanes are clamped to the good
-///    machine and stop generating events.  Per-frame cost falls from
+///    outside behaves exactly like the good machine and is read from the
+///    scalar good-machine Trace (the PROOFS insight: a fault cannot
+///    perturb values outside its fanout cone).  The trace holds one V3
+///    per node per frame, shared read-only by every batch and thread;
+///    a good value is broadcast to a Vec3<W> only where the frontier
+///    uses it (a clean fanin, the drop clamp, the dirty compare, a
+///    source seed, the clock edge), so the trace costs 1 byte per
+///    node-frame at any lane width.  Within the cone the evaluation is
+///    event-driven: dirty nodes (vector differs from the good machine
+///    this frame) schedule their cone fanouts into per-level buckets,
+///    so only gates on the active frontier are visited at all.
+///    Detected faults can be retired per lane with DropLanes, after
+///    which their lanes are clamped to the good machine and stop
+///    generating events.  Per-frame cost falls from
 ///    O(|circuit|) to O(|active frontier|), which decays as faults are
 ///    detected and dropped.
 template <int W>
@@ -319,11 +299,11 @@ class WideFrame {
 
   /// Cone-restricted frame: like Step, but only cone nodes on the
   /// active frontier are evaluated; everything else matches
-  /// `good_frame` (all node vectors of the good machine at this frame,
-  /// i.e. WideTrace::frame(t)).  Only cone entries of `state` are
-  /// maintained; read results via word() and dirty(), not value().
+  /// `good_frame` (every node's good-machine value at this frame, i.e.
+  /// Trace::frame(t)).  Only cone entries of `state` are maintained;
+  /// read results via word() and dirty(), not value().
   void Step(std::span<const V3> inputs, std::vector<Vec3<W>>& state,
-            std::span<const Vec3<W>> good_frame);
+            std::span<const V3> good_frame);
 
   /// Retires the given lanes: their injections stop being applied and
   /// their words are clamped to the good machine, so the dropped
@@ -350,10 +330,10 @@ class WideFrame {
   }
 
   /// Node value in cone-restricted mode: the evaluated vector for dirty
-  /// nodes, the good-machine vector for clean ones.
-  Vec3<W> word(netlist::NodeId id, std::span<const Vec3<W>> good_frame) const {
+  /// nodes, the broadcast good-machine value for clean ones.
+  Vec3<W> word(netlist::NodeId id, std::span<const V3> good_frame) const {
     return dirty(id) ? values_[static_cast<size_t>(id)]
-                     : good_frame[static_cast<size_t>(id)];
+                     : Vec3<W>::Broadcast(good_frame[static_cast<size_t>(id)]);
   }
 
   /// Indices into circuit().outputs() that can differ from the good
@@ -412,9 +392,6 @@ using ParallelFrame = WideFrame<1>;
 
 // The supported widths are instantiated once in sim/parallel.cpp
 // (64 / 256 / 512 lanes; see sim/simd.h for the dispatch policy).
-extern template class WideTrace<1>;
-extern template class WideTrace<4>;
-extern template class WideTrace<8>;
 extern template class WideFrame<1>;
 extern template class WideFrame<4>;
 extern template class WideFrame<8>;

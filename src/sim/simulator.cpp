@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "analyze/sweep.h"
+#include "sim/compiled.h"
 
 namespace retest::sim {
 
@@ -25,37 +26,50 @@ std::vector<V3> FromString(const std::string& text) {
   return out;
 }
 
-V3 EvalGate3(NodeKind kind, std::span<const V3> fanin) {
+namespace {
+
+/// The 3-valued gate function over `n` fanins, the i-th read through
+/// `fanin(i)`: EvalGate3 reads a gathered span, the compiled Trace
+/// reads its frame row in place.
+template <typename Fanin>
+V3 EvalGateOver(NodeKind kind, size_t n, Fanin fanin) {
   switch (kind) {
     case NodeKind::kConst0:
       return V3::k0;
     case NodeKind::kConst1:
       return V3::k1;
     case NodeKind::kBuf:
-      return fanin[0];
+      return fanin(0);
     case NodeKind::kNot:
-      return Not3(fanin[0]);
+      return Not3(fanin(0));
     case NodeKind::kAnd:
     case NodeKind::kNand: {
       V3 acc = V3::k1;
-      for (V3 v : fanin) acc = And3(acc, v);
+      for (size_t i = 0; i < n; ++i) acc = And3(acc, fanin(i));
       return kind == NodeKind::kAnd ? acc : Not3(acc);
     }
     case NodeKind::kOr:
     case NodeKind::kNor: {
       V3 acc = V3::k0;
-      for (V3 v : fanin) acc = Or3(acc, v);
+      for (size_t i = 0; i < n; ++i) acc = Or3(acc, fanin(i));
       return kind == NodeKind::kOr ? acc : Not3(acc);
     }
     case NodeKind::kXor:
     case NodeKind::kXnor: {
       V3 acc = V3::k0;
-      for (V3 v : fanin) acc = Xor3(acc, v);
+      for (size_t i = 0; i < n; ++i) acc = Xor3(acc, fanin(i));
       return kind == NodeKind::kXor ? acc : Not3(acc);
     }
     default:
       throw std::invalid_argument("EvalGate3: not a combinational kind");
   }
+}
+
+}  // namespace
+
+V3 EvalGate3(NodeKind kind, std::span<const V3> fanin) {
+  return EvalGateOver(kind, fanin.size(),
+                      [fanin](size_t i) { return fanin[i]; });
 }
 
 Simulator::Simulator(const netlist::Circuit& circuit)
@@ -145,18 +159,49 @@ std::vector<std::vector<V3>> Simulator::Run(const InputSequence& sequence) {
 }
 
 Trace::Trace(const netlist::Circuit& circuit, const InputSequence& sequence)
+    : Trace(CompiledNetlist(circuit), sequence) {}
+
+Trace::Trace(const CompiledNetlist& compiled, const InputSequence& sequence)
     : frames_(sequence.size()),
-      num_nodes_(static_cast<size_t>(circuit.size())) {
-  values_.resize(frames_ * num_nodes_);
+      num_nodes_(static_cast<size_t>(compiled.num_nodes())) {
+  values_.assign(frames_ * num_nodes_, V3::kX);
   outputs_.reserve(frames_);
-  Simulator simulator(circuit);
-  simulator.Reset();
-  for (size_t t = 0; t < frames_; ++t) {
-    outputs_.push_back(simulator.Step(sequence[t]));
-    V3* frame = values_.data() + t * num_nodes_;
-    for (size_t id = 0; id < num_nodes_; ++id) {
-      frame[id] = simulator.value(static_cast<netlist::NodeId>(id));
+  std::vector<std::uint32_t> constants;
+  for (std::uint32_t id = 0; id < num_nodes_; ++id) {
+    const NodeKind kind = compiled.kind(id);
+    if (kind == NodeKind::kConst0 || kind == NodeKind::kConst1) {
+      constants.push_back(id);
     }
+  }
+  const auto pis = compiled.inputs();
+  const auto dffs = compiled.dffs();
+  const auto pos = compiled.outputs();
+  for (size_t t = 0; t < frames_; ++t) {
+    if (sequence[t].size() != pis.size()) {
+      throw std::invalid_argument("Trace: wrong input width");
+    }
+    V3* row = values_.data() + t * num_nodes_;
+    for (size_t i = 0; i < pis.size(); ++i) row[pis[i]] = sequence[t][i];
+    if (t > 0) {
+      // Clock edge of frame t-1: each DFF's Q is its D driver's value.
+      const V3* prev = row - num_nodes_;
+      for (size_t i = 0; i < dffs.size(); ++i) {
+        row[dffs[i]] = prev[compiled.dff_data(i)];
+      }
+    }
+    for (std::uint32_t id : constants) {
+      row[id] = compiled.kind(id) == NodeKind::kConst1 ? V3::k1 : V3::k0;
+    }
+    for (std::uint32_t id : compiled.schedule()) {
+      const auto fanin = compiled.fanins(id);
+      const NodeKind kind = compiled.kind(id);
+      row[id] = kind == NodeKind::kOutput
+                    ? row[fanin[0]]
+                    : EvalGateOver(kind, fanin.size(),
+                                   [&](size_t i) { return row[fanin[i]]; });
+    }
+    std::vector<V3>& out = outputs_.emplace_back(pos.size());
+    for (size_t o = 0; o < pos.size(); ++o) out[o] = row[pos[o]];
   }
 }
 
@@ -168,11 +213,10 @@ Trace::Trace(const netlist::Circuit& original, const InputSequence& sequence,
     throw std::invalid_argument("Trace: sweep is for a different circuit");
   }
   values_.assign(frames_ * num_nodes_, V3::kX);
-  outputs_.reserve(frames_);
-  Simulator simulator(swept.circuit);
-  simulator.Reset();
+  Trace reduced(swept.circuit, sequence);
+  outputs_ = std::move(reduced.outputs_);
   for (size_t t = 0; t < frames_; ++t) {
-    outputs_.push_back(simulator.Step(sequence[t]));
+    const std::span<const V3> from = reduced.frame(t);
     V3* frame = values_.data() + t * num_nodes_;
     for (size_t id = 0; id < num_nodes_; ++id) {
       const netlist::NodeId mapped = swept.node_map[id];
@@ -184,7 +228,7 @@ Trace::Trace(const netlist::Circuit& original, const InputSequence& sequence,
         frame[id] = swept.report.const_of[id];
         continue;
       }
-      frame[id] = simulator.value(mapped);
+      frame[id] = from[static_cast<size_t>(mapped)];
     }
   }
 }

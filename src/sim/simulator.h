@@ -20,6 +20,8 @@ struct SweptNetlist;  // analyze/sweep.h
 
 namespace retest::sim {
 
+class CompiledNetlist;  // sim/compiled.h
+
 /// An input vector: one V3 per primary input, in Circuit::inputs order.
 using InputVector = std::vector<V3>;
 /// A sequence of input vectors applied on consecutive clock cycles.
@@ -70,16 +72,26 @@ class Simulator {
 ///
 /// Records, for every frame t of a sequence, the value of every node's
 /// output net (DFF nodes carry their pre-edge Q value, exactly what a
-/// frame evaluator seeds from).  The cone-restricted fault simulator
-/// shares one read-only Trace across all fault batches: any node
-/// outside a batch's fanout cones behaves identically to the good
-/// machine, so its value can be taken from here instead of being
-/// re-evaluated.
+/// frame evaluator seeds from), one V3 per node per frame.  The
+/// cone-restricted fault simulator shares one read-only Trace across
+/// all fault batches and lane widths: any node outside a batch's
+/// fanout cones behaves identically to the good machine, so its value
+/// can be taken from here instead of being re-evaluated.
+///
+/// Frames are built by evaluating a CompiledNetlist's schedule in
+/// place into each frame row: row t's DFFs are seeded from the D
+/// drivers in row t-1 (all X in row 0), so no Simulator is stepped and
+/// nothing is copied out per node.  The values equal what
+/// Simulator::Step leaves on every net.
 class Trace {
  public:
   Trace() = default;
   /// Simulates `sequence` from the all-X state and records every frame.
   Trace(const netlist::Circuit& circuit, const InputSequence& sequence);
+  /// Same, on an already compiled image (the PROOFS dispatcher passes
+  /// the one its batches share).  Nodes a sweep-pruned image dropped
+  /// from its schedule are recorded as X.
+  Trace(const CompiledNetlist& compiled, const InputSequence& sequence);
   /// Sweep-accelerated variant: simulates `swept.circuit` (one gate
   /// per live equivalence class) and expands each frame back to
   /// `original`'s node ids through `swept.node_map`.  Mapped nodes get

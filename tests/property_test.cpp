@@ -3,6 +3,7 @@
 // (parameterized gtest sweeps over seeds).
 #include <gtest/gtest.h>
 
+#include "analyze/sweep.h"
 #include "core/preserve.h"
 #include "core/syncseq.h"
 #include "fault/collapse.h"
@@ -69,6 +70,39 @@ TEST_P(SeededProperty, ProofsMatchesSerial) {
         << ToString(circuit, faults[i]);
     if (serial[i].detected) {
       EXPECT_EQ(serial[i].time, proofs.detections[i].time);
+    }
+  }
+}
+
+TEST_P(SeededProperty, CompiledTraceMatchesSimulatorStep) {
+  // The trace is evaluated in place on the compiled image; it must
+  // hold exactly what Simulator::Step leaves on every net, X inputs
+  // and the all-X start included.  The swept overload must agree on
+  // every live node.
+  const Circuit circuit = MakeRandomCircuit(GetParam());
+  TestRng rng{GetParam() + 555};
+  InputSequence stream = RandomStream(rng, circuit.num_inputs(), 24);
+  for (auto& vector : stream) {
+    for (auto& v : vector) {
+      if (rng.Below(5) == 0) v = V3::kX;
+    }
+  }
+  const sim::Trace trace(circuit, stream);
+  const analyze::SweptNetlist swept = analyze::BuildSweptNetlist(circuit);
+  const sim::Trace swept_trace(circuit, stream, swept);
+  ASSERT_EQ(trace.num_frames(), stream.size());
+  sim::Simulator simulator(circuit);
+  simulator.Reset();
+  for (size_t t = 0; t < stream.size(); ++t) {
+    const std::vector<V3> outputs = simulator.Step(stream[t]);
+    EXPECT_EQ(trace.outputs()[t], outputs) << "frame " << t;
+    EXPECT_EQ(swept_trace.outputs()[t], outputs) << "frame " << t;
+    for (netlist::NodeId id = 0; id < circuit.size(); ++id) {
+      EXPECT_EQ(trace.value(t, id), simulator.value(id))
+          << "frame " << t << " node " << circuit.node(id).name;
+      if (swept.report.IsDead(id)) continue;  // dead values are never read
+      EXPECT_EQ(swept_trace.value(t, id), simulator.value(id))
+          << "swept, frame " << t << " node " << circuit.node(id).name;
     }
   }
 }

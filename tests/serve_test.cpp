@@ -396,6 +396,27 @@ TEST(Service, DrainingRejectsNewWorkAndWaitsForOldWork) {
   EXPECT_EQ(after.reject_reason, "draining");
 }
 
+TEST(Service, DestroyedRightAfterItsLastJobFinishes) {
+  // Wait() returns once the job's state is final, while the worker is
+  // still finishing it; ~Service then drains and tears down the
+  // completion condition variable at once.  The worker must be done
+  // with that variable before the drain can return (the TSan job runs
+  // this test).
+  JobSpec spec;
+  spec.kind = JobKind::kFaultSim;
+  spec.name = "fsim";
+  spec.netlist = kTinyBench;
+  spec.tests = "11\n01\n";
+  for (int round = 0; round < 50; ++round) {
+    Service service;
+    const auto submission = service.Submit(spec);
+    ASSERT_TRUE(submission.accepted) << submission.diagnostics.ToString();
+    const auto record = service.Wait(submission.id);
+    ASSERT_TRUE(record.has_value());
+    EXPECT_EQ(record->state, JobState::kDone);
+  }
+}
+
 TEST(Service, CancelTargetsOnlyQueuedJobs) {
   Service service;
   EXPECT_FALSE(service.Cancel(12345));  // Unknown.

@@ -14,6 +14,7 @@ namespace {
 
 using netlist::Builder;
 using netlist::Circuit;
+using netlist::NodeId;
 using netlist::NodeKind;
 
 TEST(Logic3, TruthTables) {
@@ -206,15 +207,14 @@ TEST(ParallelFrame, ConeRestrictedStepMatchesFullEvaluation) {
   const InputSequence sequence{FromString("00"), FromString("11"),
                                FromString("10"), FromString("01")};
   const Trace trace(circuit, sequence);
-  const WordTrace words(trace);
   std::vector<Word3> full_state(2), cone_state(2);
   for (size_t t = 0; t < sequence.size(); ++t) {
     full.Step(sequence[t], full_state);
-    cone.Step(sequence[t], cone_state, words.frame(t));
+    cone.Step(sequence[t], cone_state, trace.frame(t));
     for (const char* net : {"g1", "q1", "h1", "z1"}) {
-      // word() resolves clean (skipped) nodes to the good-machine
-      // word; dirty nodes were actually evaluated this frame.
-      EXPECT_EQ(cone.word(circuit.Find(net), words.frame(t)),
+      // word() resolves clean (skipped) nodes to the broadcast
+      // good-machine value; dirty nodes were evaluated this frame.
+      EXPECT_EQ(cone.word(circuit.Find(net), trace.frame(t)),
                 full.value(circuit.Find(net)))
           << net << " at frame " << t;
     }
@@ -393,17 +393,106 @@ TYPED_TEST(WideVec, WideFrameConeMatchesFullAtEveryWidth) {
   const InputSequence sequence{FromString("00"), FromString("11"),
                                FromString("10"), FromString("01")};
   const Trace trace(circuit, sequence);
-  const WideTrace<W> words(trace);
   std::vector<Vec3<W>> full_state(2), cone_state(2);
   for (size_t t = 0; t < sequence.size(); ++t) {
     full.Step(sequence[t], full_state);
-    cone.Step(sequence[t], cone_state, words.frame(t));
+    cone.Step(sequence[t], cone_state, trace.frame(t));
     for (const char* net : {"g1", "q1", "h1", "z1"}) {
-      EXPECT_EQ(cone.word(circuit.Find(net), words.frame(t)),
+      EXPECT_EQ(cone.word(circuit.Find(net), trace.frame(t)),
                 full.value(circuit.Find(net)))
           << net << " at frame " << t;
     }
   }
+  EXPECT_LE(cone.gate_evals(), full.gate_evals());
+}
+
+TYPED_TEST(WideVec, ScalarTraceConeStepMatchesFullStepLaneByLane) {
+  constexpr int W = TypeParam::value;
+  constexpr int kLanes = Vec3<W>::kLanes;
+  // Registers power up X and feed back, so the good machine holds X on
+  // several nodes for the first frames (and on every frame an X input
+  // reaches); two constant sources feed live gates.
+  Circuit circuit("scalar_cone");
+  const NodeId a = circuit.Add(NodeKind::kInput, "a");
+  const NodeId b = circuit.Add(NodeKind::kInput, "b");
+  const NodeId zero = circuit.Add(NodeKind::kConst0, "zero");
+  const NodeId one = circuit.Add(NodeKind::kConst1, "one");
+  const NodeId q1 = circuit.Add(NodeKind::kDff, "q1");
+  const NodeId q2 = circuit.Add(NodeKind::kDff, "q2");
+  const NodeId g1 = circuit.Add(NodeKind::kAnd, "g1", {a, q1});
+  const NodeId g2 = circuit.Add(NodeKind::kOr, "g2", {b, zero});
+  const NodeId g3 = circuit.Add(NodeKind::kXor, "g3", {g1, g2});
+  const NodeId g4 = circuit.Add(NodeKind::kNand, "g4", {q2, one});
+  const NodeId g5 = circuit.Add(NodeKind::kNor, "g5", {g3, q2});
+  circuit.AddPin(q1, g3);
+  circuit.AddPin(q2, g5);
+  circuit.Add(NodeKind::kOutput, "z1", {g5});
+  circuit.Add(NodeKind::kOutput, "z2", {g4});
+  circuit.Add(NodeKind::kOutput, "z3", {g2});
+
+  // Every single stuck-at fault (stems on every node, sources and
+  // constants included, and every input pin), spread over all words.
+  std::vector<Injection> injections;
+  for (NodeId id = 0; id < circuit.size(); ++id) {
+    const int pins = static_cast<int>(circuit.node(id).fanin.size());
+    for (int pin = -1; pin < pins; ++pin) {
+      for (bool value : {false, true}) {
+        injections.push_back(Injection{id, pin, value, 0});
+      }
+    }
+  }
+  ASSERT_LE(static_cast<int>(injections.size()), kLanes);
+  for (size_t k = 0; k < injections.size(); ++k) {
+    injections[k].lane = static_cast<int>(k * static_cast<size_t>(kLanes) /
+                                          injections.size());
+  }
+  WideFrame<W> full(circuit);
+  full.SetInjections(injections);
+  WideFrame<W> cone(circuit);
+  cone.SetInjections(injections);
+  cone.RestrictToInjectionCones();
+
+  const InputSequence sequence{FromString("1x"), FromString("10"),
+                               FromString("01"), FromString("11"),
+                               FromString("x0"), FromString("00"),
+                               FromString("11"), FromString("10")};
+  const Trace trace(circuit, sequence);
+  EXPECT_EQ(trace.value(0, g1), V3::kX);  // all-X start reaches the trace
+  EXPECT_EQ(trace.value(0, g2), V3::kX);
+  EXPECT_EQ(trace.value(0, zero), V3::k0);
+  EXPECT_EQ(trace.value(0, one), V3::k1);
+
+  LaneMask<W> dropped;
+  std::vector<Vec3<W>> full_state(2), cone_state(2);
+  for (size_t t = 0; t < sequence.size(); ++t) {
+    if (t == 3) {
+      // Retire every third fault: its lane must read as the good
+      // machine from now on, while the other lanes keep evaluating.
+      for (size_t k = 0; k < injections.size(); k += 3) {
+        dropped.set(injections[k].lane);
+      }
+      cone.DropLanes(dropped);
+    }
+    full.Step(sequence[t], full_state);
+    cone.Step(sequence[t], cone_state, trace.frame(t));
+    for (NodeId id = 0; id < circuit.size(); ++id) {
+      const Vec3<W> good = Vec3<W>::Broadcast(trace.value(t, id));
+      const Vec3<W>& faulty = full.value(id);
+      Vec3<W> expected;
+      for (int w = 0; w < W; ++w) {
+        expected.one[w] = (faulty.one[w] & ~dropped.bits[w]) |
+                          (good.one[w] & dropped.bits[w]);
+        expected.zero[w] = (faulty.zero[w] & ~dropped.bits[w]) |
+                           (good.zero[w] & dropped.bits[w]);
+      }
+      const Vec3<W> got = cone.word(id, trace.frame(t));
+      for (int lane = 0; lane < kLanes; ++lane) {
+        ASSERT_EQ(got.Lane(lane), expected.Lane(lane))
+            << circuit.node(id).name << " lane " << lane << " frame " << t;
+      }
+    }
+  }
+  // Every gate carries an injection, so the cone is the whole circuit.
   EXPECT_LE(cone.gate_evals(), full.gate_evals());
 }
 
