@@ -204,6 +204,7 @@ std::string_view ToString(JobState state) {
 
 struct Service::JobRec {
   std::uint64_t id = 0;
+  // The spec's body text and the parsed inputs live until FinishJob.
   JobSpec spec;
   netlist::Circuit circuit;   ///< Parsed `netlist`.
   netlist::Circuit retimed;   ///< Parsed `retimed` (kPreserve).
@@ -349,22 +350,26 @@ Service::Submission Service::SubmitInternal(const JobSpec& spec,
 
 void Service::RunJob(JobRec& rec, const core::JobContext& ctx) {
   RETEST_TRACE_SPAN(span, "serve.job");
+  bool skip = false;
   bool shed = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     rec.started = Clock::now();
     --queued_;
     const double waited = MsBetween(rec.submitted, rec.started);
+    // A skipped job stays kQueued until FinishJob publishes kCancelled
+    // together with its result: Wait() and Query() must never see a
+    // final state without the result_json that goes with it.
     if (rec.cancel_requested) {
-      rec.state = JobState::kCancelled;
+      skip = true;
     } else if (rec.spec.deadline_ms > 0 &&
                waited >= static_cast<double>(rec.spec.deadline_ms)) {
       // Deadline-aware shedding: the job's whole deadline elapsed in
       // the queue, so running it now can only burn a worker on a
       // result nobody can use in time.  Shed it with a structured
       // reason instead (docs/SERVING.md).
-      rec.state = JobState::kCancelled;
       rec.cancel_requested = true;
+      skip = true;
       shed = true;
     } else {
       rec.state = JobState::kRunning;
@@ -373,7 +378,7 @@ void Service::RunJob(JobRec& rec, const core::JobContext& ctx) {
                        "submit-to-start latency per job",
                        MsBetween(rec.submitted, rec.started));
   }
-  if (rec.state == JobState::kCancelled) {
+  if (skip) {
     if (shed) {
       shed_.fetch_add(1);
       RETEST_COUNTER_ADD("serve.shed.deadline_expired", "jobs", "serve",
@@ -530,6 +535,15 @@ void Service::FinishJob(JobRec& rec, JobState state, std::string result_json,
     rec.resumed = resumed;
     rec.finished = Clock::now();
     rec.result_json = std::move(result_json);
+    // The registry answers Query/Snapshot/Result for the life of the
+    // daemon from the fields SnapshotLocked reads; the job's inputs are
+    // dead weight from here on, so release them.
+    rec.circuit = netlist::Circuit();
+    rec.retimed = netlist::Circuit();
+    rec.tests = core::TestSet();
+    std::string().swap(rec.spec.netlist);
+    std::string().swap(rec.spec.retimed);
+    std::string().swap(rec.spec.tests);
     record = SnapshotLocked(rec);
     callback = callback_;
   }

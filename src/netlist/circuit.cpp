@@ -132,8 +132,12 @@ void Circuit::RebuildFanout() {
 std::string Circuit::FreshName(std::string_view stem) {
   std::string base(stem);
   if (!by_name_.contains(base)) return base;
-  for (int i = 0;; ++i) {
-    std::string candidate = base + "_" + std::to_string(i);
+  // Resume from the last suffix handed out instead of from 0: the
+  // emitters draw thousands of names from one stem, and rescanning
+  // the taken prefix each time made building n gates O(n^2).
+  int& suffix = fresh_suffix_[base];
+  for (;; ++suffix) {
+    std::string candidate = base + "_" + std::to_string(suffix);
     if (!by_name_.contains(candidate)) return candidate;
   }
 }

@@ -119,7 +119,9 @@ class Circuit {
   /// after bulk surgery; Add/Rewire keep fanouts consistent already.
   void RebuildFanout();
 
-  /// Returns a fresh name not used by any node, derived from `stem`.
+  /// Returns a fresh name not used by any node, derived from `stem`:
+  /// `stem` itself if free, else `stem_<i>` for the smallest free i.
+  /// Amortized O(1) per name while each returned name gets added.
   std::string FreshName(std::string_view stem);
 
  private:
@@ -129,6 +131,9 @@ class Circuit {
   std::vector<NodeId> outputs_;
   std::vector<NodeId> dffs_;
   std::unordered_map<std::string, NodeId> by_name_;
+  /// Per stem, the suffix FreshName handed out last; every lower
+  /// suffix is taken (nodes are never removed or renamed).
+  std::unordered_map<std::string, int> fresh_suffix_;
 };
 
 }  // namespace retest::netlist

@@ -21,9 +21,9 @@ int Graph::AddEdge(Edge edge) {
   return index;
 }
 
-long Graph::TotalRegisters() const {
+long Graph::TotalRegisters(const std::vector<int>& lags) const {
   long total = 0;
-  for (const Edge& edge : edges) total += edge.weight;
+  for (int e = 0; e < num_edges(); ++e) total += RetimedWeight(e, lags);
   return total;
 }
 
@@ -34,19 +34,17 @@ int Graph::RetimedWeight(int index, const std::vector<int>& lags) const {
          lags[static_cast<size_t>(edge.from)];
 }
 
+bool Graph::IsPinned(VertexId v) const {
+  const auto index = static_cast<size_t>(v);
+  const VertexKind kind = vertices[index].kind;
+  return kind == VertexKind::kPi || kind == VertexKind::kPo ||
+         out_edges[index].empty() || in_edges[index].empty();
+}
+
 bool Graph::IsLegal(const std::vector<int>& lags) const {
   if (lags.size() != vertices.size()) return false;
-  for (size_t v = 0; v < vertices.size(); ++v) {
-    const VertexKind kind = vertices[v].kind;
-    if ((kind == VertexKind::kPi || kind == VertexKind::kPo) && lags[v] != 0) {
-      return false;
-    }
-    // A vertex with no out-edges (dangling gate) or no in-edges has no
-    // registers to move across: a nonzero lag would fabricate or
-    // destroy registers vacuously.
-    if (lags[v] != 0 && (out_edges[v].empty() || in_edges[v].empty())) {
-      return false;
-    }
+  for (VertexId v = 0; v < num_vertices(); ++v) {
+    if (lags[static_cast<size_t>(v)] != 0 && IsPinned(v)) return false;
   }
   for (int e = 0; e < num_edges(); ++e) {
     if (RetimedWeight(e, lags) < 0) return false;
@@ -54,10 +52,11 @@ bool Graph::IsLegal(const std::vector<int>& lags) const {
   return true;
 }
 
-int Graph::ClockPeriod(const std::vector<int>& lags) const {
-  // Longest-path DP over the zero-weight subgraph (must be acyclic in a
-  // legal synchronous circuit: every cycle carries a register).
-  std::vector<int> arrival(vertices.size(), -1);
+bool Graph::Arrival(const std::vector<int>& lags,
+                    std::vector<int>& arrival) const {
+  // Longest-path DP over the zero-weight subgraph (acyclic in a legal
+  // synchronous circuit: every cycle carries a register).
+  arrival.assign(vertices.size(), 0);
   std::vector<int> pending(vertices.size(), 0);
   for (int e = 0; e < num_edges(); ++e) {
     if (RetimedWeight(e, lags) == 0) {
@@ -72,12 +71,10 @@ int Graph::ClockPeriod(const std::vector<int>& lags) const {
     }
   }
   size_t processed = 0;
-  int period = 0;
   while (!ready.empty()) {
     const VertexId v = ready.back();
     ready.pop_back();
     ++processed;
-    period = std::max(period, arrival[static_cast<size_t>(v)]);
     for (int e : out_edges[static_cast<size_t>(v)]) {
       if (RetimedWeight(e, lags) != 0) continue;
       const VertexId to = edges[static_cast<size_t>(e)].to;
@@ -88,10 +85,17 @@ int Graph::ClockPeriod(const std::vector<int>& lags) const {
       if (--pending[static_cast<size_t>(to)] == 0) ready.push_back(to);
     }
   }
-  if (processed != vertices.size()) {
+  return processed == vertices.size();
+}
+
+int Graph::ClockPeriod(const std::vector<int>& lags) const {
+  std::vector<int> arrival;
+  if (!Arrival(lags, arrival)) {
     throw std::runtime_error(
         "ClockPeriod: zero-weight cycle (illegal synchronous circuit)");
   }
+  int period = 0;
+  for (int delay : arrival) period = std::max(period, delay);
   return period;
 }
 

@@ -75,20 +75,31 @@ struct Graph {
   /// Appends an edge and returns its index; maintains adjacency.
   int AddEdge(Edge edge);
 
-  /// Total number of registers: the sum of edge weights.  Register
-  /// sharing before a fanout is already structural (stem in-edges).
-  long TotalRegisters() const;
+  /// Total number of registers: the sum of `lags`-retimed edge weights
+  /// (pass empty lags for the as-built weights).  Register sharing
+  /// before a fanout is already structural (stem in-edges).
+  long TotalRegisters(const std::vector<int>& lags = {}) const;
+
+  /// True when v's lag is pinned at 0: an I/O pin, or a vertex with no
+  /// in-edges or no out-edges (it has no registers to move across, so
+  /// a nonzero lag would fabricate or destroy registers vacuously).
+  bool IsPinned(VertexId v) const;
 
   /// True when lags r are legal for this graph: retimed weights
-  /// w(e) + r(to) - r(from) are all non-negative and I/O lags are 0.
+  /// w(e) + r(to) - r(from) are all non-negative and pinned lags are 0.
   bool IsLegal(const std::vector<int>& lags) const;
 
   /// Retimed weight of edge `index` under lags r.
   int RetimedWeight(int index, const std::vector<int>& lags) const;
 
-  /// Clock period: the maximum pure-combinational path delay when edge
-  /// weights are taken as `lags`-retimed (pass empty lags for the
-  /// as-built weights).
+  /// Fills `arrival` with Delta(v): the longest combinational path
+  /// delay ending at v over edges whose `lags`-retimed weight is zero.
+  /// Returns false if that zero-weight subgraph is cyclic (illegal as a
+  /// synchronous circuit).
+  bool Arrival(const std::vector<int>& lags, std::vector<int>& arrival) const;
+
+  /// Clock period: the maximum Arrival() (pass empty lags for the
+  /// as-built weights).  Throws on a zero-weight cycle.
   int ClockPeriod(const std::vector<int>& lags = {}) const;
 };
 

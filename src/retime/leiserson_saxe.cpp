@@ -4,75 +4,40 @@
 #include <stdexcept>
 
 namespace retest::retime {
-namespace {
-
-/// Computes Delta(v): the longest-path delay ending at v over edges
-/// with retimed weight zero.  Returns false if the zero-weight subgraph
-/// is cyclic (lags illegal as a synchronous circuit).
-bool ComputeArrival(const Graph& graph, const std::vector<int>& lags,
-                    std::vector<int>& arrival) {
-  const size_t n = graph.vertices.size();
-  arrival.assign(n, 0);
-  std::vector<int> pending(n, 0);
-  for (int e = 0; e < graph.num_edges(); ++e) {
-    if (graph.RetimedWeight(e, lags) == 0) {
-      ++pending[static_cast<size_t>(graph.edges[static_cast<size_t>(e)].to)];
-    }
-  }
-  std::vector<VertexId> ready;
-  for (size_t v = 0; v < n; ++v) {
-    if (pending[v] == 0) {
-      ready.push_back(static_cast<VertexId>(v));
-      arrival[v] = graph.vertices[v].delay;
-    }
-  }
-  size_t processed = 0;
-  while (!ready.empty()) {
-    const VertexId v = ready.back();
-    ready.pop_back();
-    ++processed;
-    for (int e : graph.out_edges[static_cast<size_t>(v)]) {
-      if (graph.RetimedWeight(e, lags) != 0) continue;
-      const VertexId to = graph.edges[static_cast<size_t>(e)].to;
-      arrival[static_cast<size_t>(to)] = std::max(
-          arrival[static_cast<size_t>(to)],
-          arrival[static_cast<size_t>(v)] +
-              graph.vertices[static_cast<size_t>(to)].delay);
-      if (--pending[static_cast<size_t>(to)] == 0) ready.push_back(to);
-    }
-  }
-  return processed == n;
-}
-
-}  // namespace
 
 std::optional<Retiming> Feasible(const Graph& graph, int phi) {
-  const size_t n = graph.vertices.size();
-  std::vector<int> lags(n, 0);
+  std::vector<int> lags(graph.vertices.size(), 0);
   std::vector<int> arrival;
-  // FEAS: |V| - 1 relaxation passes.
+  std::vector<VertexId> raised;
+  // FEAS: |V| - 1 relaxation passes.  A pinned vertex is never
+  // incremented: a path ending there that is too long can only be
+  // shortened by retiming its predecessors on later passes.
   for (int pass = 0; pass < graph.num_vertices() - 1; ++pass) {
-    if (!ComputeArrival(graph, lags, arrival)) return std::nullopt;
-    bool changed = false;
-    for (size_t v = 0; v < n; ++v) {
-      if (arrival[v] <= phi) continue;
-      const VertexKind kind = graph.vertices[v].kind;
-      if (kind == VertexKind::kPi || kind == VertexKind::kPo ||
-          graph.out_edges[v].empty() || graph.in_edges[v].empty()) {
-        // An I/O pin (or a dangling vertex) can never be retimed; a
-        // path ending here that is too long can only be shortened by
-        // retiming its predecessors, which FEAS will attempt on later
-        // passes -- do not increment.
-        continue;
+    if (!graph.Arrival(lags, arrival)) return std::nullopt;
+    raised.clear();
+    for (VertexId v = 0; v < graph.num_vertices(); ++v) {
+      if (arrival[static_cast<size_t>(v)] > phi && !graph.IsPinned(v)) {
+        ++lags[static_cast<size_t>(v)];
+        raised.push_back(v);
       }
-      ++lags[v];
-      changed = true;
     }
-    if (!changed) break;
+    if (raised.empty()) break;
+    // Lags only grow and a pinned lag stays 0, so an edge into a pinned
+    // vertex that went negative never recovers: IsLegal below would
+    // refuse the lags whatever the remaining passes do.  Only the
+    // out-edges of the vertices just raised lost weight.
+    for (VertexId v : raised) {
+      for (int e : graph.out_edges[static_cast<size_t>(v)]) {
+        if (graph.IsPinned(graph.edges[static_cast<size_t>(e)].to) &&
+            graph.RetimedWeight(e, lags) < 0) {
+          return std::nullopt;
+        }
+      }
+    }
   }
-  if (!ComputeArrival(graph, lags, arrival)) return std::nullopt;
-  for (size_t v = 0; v < n; ++v) {
-    if (arrival[v] > phi) return std::nullopt;
+  if (!graph.Arrival(lags, arrival)) return std::nullopt;
+  for (int delay : arrival) {
+    if (delay > phi) return std::nullopt;
   }
   if (!graph.IsLegal(lags)) return std::nullopt;
   return Retiming{std::move(lags)};

@@ -15,8 +15,11 @@ struct MinPeriodResult {
 };
 
 /// Tests whether clock period `phi` is achievable by retiming (with
-/// PI/PO lags pinned to 0) using the FEAS relaxation.  Returns the lags
-/// on success.
+/// pinned lags at 0) using the FEAS relaxation.  Returns the lags on
+/// success.  Each probe costs O(|V| + |E|) per relaxation pass; it
+/// stops as soon as an edge into a pinned vertex goes negative (the
+/// usual way a too-small `phi` shows, typically within a few passes)
+/// and otherwise runs up to |V| - 1 passes.
 std::optional<Retiming> Feasible(const Graph& graph, int phi);
 
 /// Finds the minimum achievable clock period by binary search over

@@ -5,14 +5,6 @@
 namespace retest::retime {
 namespace {
 
-long TotalRegisters(const Graph& graph, const std::vector<int>& lags) {
-  long total = 0;
-  for (int e = 0; e < graph.num_edges(); ++e) {
-    total += graph.RetimedWeight(e, lags);
-  }
-  return total;
-}
-
 class Descent {
  public:
   Descent(const Graph& graph, std::optional<int> max_period,
@@ -22,13 +14,9 @@ class Descent {
   /// Register-count change of r(v) += direction; +1 sentinel-free:
   /// returns std::nullopt when the move is illegal.
   std::optional<long> MoveDelta(VertexId v, int direction) const {
-    const VertexKind kind = graph_.vertices[static_cast<size_t>(v)].kind;
-    if (kind == VertexKind::kPi || kind == VertexKind::kPo) return std::nullopt;
+    if (graph_.IsPinned(v)) return std::nullopt;
     const auto& incoming = graph_.in_edges[static_cast<size_t>(v)];
     const auto& outgoing = graph_.out_edges[static_cast<size_t>(v)];
-    // Sink-less or source-less vertices cannot be retimed (IsLegal
-    // pins their lag to zero).
-    if (incoming.empty() || outgoing.empty()) return std::nullopt;
     const auto& donors = direction > 0 ? outgoing : incoming;
     for (int e : donors) {
       if (graph_.RetimedWeight(e, lags_) < 1) return std::nullopt;
@@ -75,7 +63,7 @@ class Descent {
   }
 
   const std::vector<int>& lags() const { return lags_; }
-  long registers() const { return TotalRegisters(graph_, lags_); }
+  long registers() const { return graph_.TotalRegisters(lags_); }
 
  private:
   const Graph& graph_;
@@ -120,7 +108,7 @@ MinRegResult MinimizeRegisters(const Graph& graph,
   }
 
   MinRegResult result;
-  result.original_registers = TotalRegisters(graph, lags);
+  result.original_registers = graph.TotalRegisters(lags);
 
   const std::vector<int> backward = Anneal(graph, max_period, lags, +1);
   const std::vector<int> forward = Anneal(graph, max_period, lags, -1);
@@ -128,11 +116,11 @@ MinRegResult MinimizeRegisters(const Graph& graph,
   // are not unique, and the forward-most representative is the one
   // that exercises the paper's prefix machinery (nonzero forward move
   // counts), as some of the paper's own circuits did.
-  result.retiming.lags = TotalRegisters(graph, backward) <
-                                 TotalRegisters(graph, forward)
-                             ? backward
-                             : forward;
-  result.registers = TotalRegisters(graph, result.retiming.lags);
+  result.retiming.lags =
+      graph.TotalRegisters(backward) < graph.TotalRegisters(forward)
+          ? backward
+          : forward;
+  result.registers = graph.TotalRegisters(result.retiming.lags);
   result.period = graph.ClockPeriod(result.retiming.lags);
   return result;
 }

@@ -3,12 +3,17 @@
 // the Fig. 6 technique).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
+#include <string>
+
 #include "atpg/engine.h"
 #include "core/flow.h"
 #include "core/preserve.h"
 #include "fault/collapse.h"
 #include "faultsim/proofs.h"
 #include "fsm/benchmarks.h"
+#include "netlist/bench_io.h"
 #include "netlist/check.h"
 #include "retime/apply.h"
 #include "retime/from_netlist.h"
@@ -119,47 +124,104 @@ TEST(Integration, RetimeForTestFlowRecoversCoverage) {
   EXPECT_FALSE(result.derived.tests.empty());
 }
 
+/// The sixteen Table II circuit variants.
+struct PaperVariant {
+  const char* fsm;
+  synth::EncodingStyle encoding;
+  synth::ScriptStyle script;
+};
+
+constexpr PaperVariant kPaperVariants[] = {
+    {"dk16", synth::EncodingStyle::kInputDominant, synth::ScriptStyle::kDelay},
+    {"pma", synth::EncodingStyle::kOutputDominant, synth::ScriptStyle::kDelay},
+    {"s510", synth::EncodingStyle::kCombined, synth::ScriptStyle::kDelay},
+    {"s510", synth::EncodingStyle::kCombined, synth::ScriptStyle::kRugged},
+    {"s510", synth::EncodingStyle::kInputDominant, synth::ScriptStyle::kDelay},
+    {"s510", synth::EncodingStyle::kInputDominant, synth::ScriptStyle::kRugged},
+    {"s510", synth::EncodingStyle::kOutputDominant, synth::ScriptStyle::kRugged},
+    {"s820", synth::EncodingStyle::kCombined, synth::ScriptStyle::kDelay},
+    {"s820", synth::EncodingStyle::kCombined, synth::ScriptStyle::kRugged},
+    {"s820", synth::EncodingStyle::kInputDominant, synth::ScriptStyle::kRugged},
+    {"s820", synth::EncodingStyle::kOutputDominant, synth::ScriptStyle::kDelay},
+    {"s820", synth::EncodingStyle::kOutputDominant, synth::ScriptStyle::kRugged},
+    {"s832", synth::EncodingStyle::kCombined, synth::ScriptStyle::kRugged},
+    {"s832", synth::EncodingStyle::kOutputDominant, synth::ScriptStyle::kRugged},
+    {"scf", synth::EncodingStyle::kInputDominant, synth::ScriptStyle::kDelay},
+    {"scf", synth::EncodingStyle::kOutputDominant, synth::ScriptStyle::kDelay},
+};
+
+Circuit SynthesizeVariant(const PaperVariant& variant) {
+  synth::SynthesisOptions options;
+  options.encoding = variant.encoding;
+  options.script = variant.script;
+  for (const auto& info : fsm::PaperFsmTable()) {
+    if (std::string(info.name) == variant.fsm) {
+      options.explicit_reset = info.explicit_reset;
+    }
+  }
+  return synth::Synthesize(fsm::MakeBenchmarkFsm(variant.fsm), options);
+}
+
+/// 64-bit FNV-1a, spelled out so the pinned values do not depend on
+/// the standard library's std::hash.
+std::uint64_t Fnv1a(const std::string& text) {
+  std::uint64_t hash = 14695981039346656037ull;
+  for (const unsigned char c : text) {
+    hash ^= c;
+    hash *= 1099511628211ull;
+  }
+  return hash;
+}
+
 TEST(Integration, SixteenPaperCircuitsSynthesize) {
   // All Table II circuit variants synthesize and pass structural
   // checks; the heavier ones are only built, not simulated.
-  const struct {
-    const char* fsm;
-    synth::EncodingStyle encoding;
-    synth::ScriptStyle script;
-  } variants[] = {
-      {"dk16", synth::EncodingStyle::kInputDominant, synth::ScriptStyle::kDelay},
-      {"pma", synth::EncodingStyle::kOutputDominant, synth::ScriptStyle::kDelay},
-      {"s510", synth::EncodingStyle::kCombined, synth::ScriptStyle::kDelay},
-      {"s510", synth::EncodingStyle::kCombined, synth::ScriptStyle::kRugged},
-      {"s510", synth::EncodingStyle::kInputDominant, synth::ScriptStyle::kDelay},
-      {"s510", synth::EncodingStyle::kInputDominant, synth::ScriptStyle::kRugged},
-      {"s510", synth::EncodingStyle::kOutputDominant, synth::ScriptStyle::kRugged},
-      {"s820", synth::EncodingStyle::kCombined, synth::ScriptStyle::kDelay},
-      {"s820", synth::EncodingStyle::kCombined, synth::ScriptStyle::kRugged},
-      {"s820", synth::EncodingStyle::kInputDominant, synth::ScriptStyle::kRugged},
-      {"s820", synth::EncodingStyle::kOutputDominant, synth::ScriptStyle::kDelay},
-      {"s820", synth::EncodingStyle::kOutputDominant, synth::ScriptStyle::kRugged},
-      {"s832", synth::EncodingStyle::kCombined, synth::ScriptStyle::kRugged},
-      {"s832", synth::EncodingStyle::kOutputDominant, synth::ScriptStyle::kRugged},
-      {"scf", synth::EncodingStyle::kInputDominant, synth::ScriptStyle::kDelay},
-      {"scf", synth::EncodingStyle::kOutputDominant, synth::ScriptStyle::kDelay},
-  };
-  const auto& table = fsm::PaperFsmTable();
-  for (const auto& variant : variants) {
-    const auto machine = fsm::MakeBenchmarkFsm(variant.fsm);
-    synth::SynthesisOptions options;
-    options.encoding = variant.encoding;
-    options.script = variant.script;
-    for (const auto& info : table) {
-      if (std::string(info.name) == variant.fsm) {
-        options.explicit_reset = info.explicit_reset;
-      }
-    }
-    const Circuit circuit = synth::Synthesize(machine, options);
+  for (const PaperVariant& variant : kPaperVariants) {
+    const Circuit circuit = SynthesizeVariant(variant);
     EXPECT_TRUE(netlist::Check(circuit).ok()) << circuit.name();
     EXPECT_GT(circuit.num_gates(), 0) << circuit.name();
     // Retiming graph builds for all of them.
     EXPECT_NO_THROW(retime::BuildGraph(circuit)) << circuit.name();
+  }
+}
+
+TEST(Integration, SixteenPaperCircuitsAreByteStable) {
+  // Pins the .bench text of every variant, as synthesized and after
+  // the min-period / min-register retiming the tables use.  Speed-ups
+  // of synthesis and retiming must leave every byte unchanged.
+  const struct {
+    std::uint64_t original;
+    std::uint64_t retimed;
+  } expected[] = {
+      {0x90a8822ba4e430d6ull, 0x3ae71c7f3aed14f1ull},  // dk16.ji.sd
+      {0x7be10c94243c3893ull, 0x8f28f3bd7791e94aull},  // pma.jo.sd
+      {0xcdb512c748036f96ull, 0xbbdd101fdc0b7793ull},  // s510.jc.sd
+      {0x0166362ee31e884aull, 0x848273413abc2e29ull},  // s510.jc.sr
+      {0x00f802f6dec36268ull, 0x7db7a611a6121cecull},  // s510.ji.sd
+      {0xfd5f63e6d5e8abf5ull, 0xbe980720011d3b0dull},  // s510.ji.sr
+      {0xb647368d01f0a3afull, 0xc82751638ac71619ull},  // s510.jo.sr
+      {0x5c639669ddf0cd3full, 0x88e8995c9f7e7432ull},  // s820.jc.sd
+      {0x69e4dc5970c531bbull, 0x73f6f8e80c673f32ull},  // s820.jc.sr
+      {0x3d6966d6b5ed68e0ull, 0xec224b51f9e19294ull},  // s820.ji.sr
+      {0x0afa3d997ab23fefull, 0x0a3f995d7c2d45c3ull},  // s820.jo.sd
+      {0xc65d6e2fb5748eaeull, 0x6148458daf793b8cull},  // s820.jo.sr
+      {0xa55f8401fd1b6602ull, 0x507323bcea7b594dull},  // s832.jc.sr
+      {0xb63cc31b313f91acull, 0x03fa5ef8ce0a803eull},  // s832.jo.sr
+      {0x110e0a1689a08cdbull, 0x61081c91464aaaf2ull},  // scf.ji.sd
+      {0x9dcaea9bbeeed8b1ull, 0xeb37274b35cb4f2aull},  // scf.jo.sd
+  };
+  static_assert(std::size(expected) == std::size(kPaperVariants));
+  for (std::size_t i = 0; i < std::size(kPaperVariants); ++i) {
+    const Circuit circuit = SynthesizeVariant(kPaperVariants[i]);
+    SCOPED_TRACE(circuit.name());
+    const retime::BuildResult build = retime::BuildGraph(circuit);
+    const auto min_period = retime::MinimizePeriod(build.graph);
+    const auto min_reg = retime::MinimizeRegisters(
+        build.graph, min_period.period, &min_period.retiming);
+    const Circuit retimed =
+        retime::ApplyRetiming(circuit, build, min_reg.retiming).circuit;
+    EXPECT_EQ(Fnv1a(netlist::WriteBenchString(circuit)), expected[i].original);
+    EXPECT_EQ(Fnv1a(netlist::WriteBenchString(retimed)), expected[i].retimed);
   }
 }
 

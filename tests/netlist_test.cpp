@@ -65,6 +65,40 @@ TEST(Circuit, FreshNameAvoidsCollisions) {
   EXPECT_EQ(circuit.FreshName("fresh"), "fresh");
 }
 
+TEST(Circuit, FreshNameResumesWhereTheScanFromZeroWould) {
+  Circuit circuit("c");
+  circuit.Add(NodeKind::kInput, "g");
+  circuit.Add(NodeKind::kInput, "g_1");
+  for (const char* expected : {"g_0", "g_2", "g_3"}) {
+    const std::string name = circuit.FreshName("g");
+    EXPECT_EQ(name, expected);
+    circuit.Add(NodeKind::kInput, name);
+  }
+  // A name handed out but never added is handed out again.
+  EXPECT_EQ(circuit.FreshName("g"), "g_4");
+  EXPECT_EQ(circuit.FreshName("g"), "g_4");
+  // Names added explicitly ahead of the sequence are skipped.
+  circuit.Add(NodeKind::kInput, "g_4");
+  circuit.Add(NodeKind::kInput, "g_5");
+  EXPECT_EQ(circuit.FreshName("g"), "g_6");
+}
+
+TEST(Circuit, CopiedCircuitContinuesTheFreshNameSequence) {
+  Circuit original("c");
+  original.Add(NodeKind::kInput, "g");
+  for (int i = 0; i < 3; ++i) {
+    original.Add(NodeKind::kInput, original.FreshName("g"));
+  }
+  Circuit copy = original;
+  for (const char* expected : {"g_3", "g_4", "g_5"}) {
+    const std::string name = original.FreshName("g");
+    EXPECT_EQ(name, expected);
+    EXPECT_EQ(copy.FreshName("g"), name);
+    original.Add(NodeKind::kInput, name);
+    copy.Add(NodeKind::kInput, name);
+  }
+}
+
 TEST(Circuit, RebuildFanout) {
   Circuit circuit("c");
   const NodeId a = circuit.Add(NodeKind::kInput, "a");

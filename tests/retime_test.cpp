@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "netlist/builder.h"
 #include "netlist/check.h"
 #include "retime/apply.h"
@@ -10,6 +16,7 @@
 #include "retime/moves.h"
 #include "sim/simulator.h"
 #include "tests/paper_circuits.h"
+#include "tests/random_circuits.h"
 
 namespace retest::retime {
 namespace {
@@ -112,6 +119,132 @@ TEST(MinPeriod, FeasibleMatchesClockPeriod) {
   const BuildResult build = BuildGraph(Pipeline());
   EXPECT_TRUE(Feasible(build.graph, 3).has_value());
   EXPECT_FALSE(Feasible(build.graph, 0).has_value());
+}
+
+/// The FEAS loop without the early exit: every one of the |V| - 1
+/// passes runs and the verdict is decided only at the end.  Feasible()
+/// must agree with it exactly, in verdict and in lags.
+std::optional<Retiming> ReferenceFeasible(const Graph& graph, int phi) {
+  const size_t n = graph.vertices.size();
+  std::vector<int> lags(n, 0);
+  std::vector<int> arrival;
+  for (int pass = 0; pass < graph.num_vertices() - 1; ++pass) {
+    if (!graph.Arrival(lags, arrival)) return std::nullopt;
+    bool changed = false;
+    for (size_t v = 0; v < n; ++v) {
+      if (arrival[v] <= phi) continue;
+      const VertexKind kind = graph.vertices[v].kind;
+      if (kind == VertexKind::kPi || kind == VertexKind::kPo ||
+          graph.out_edges[v].empty() || graph.in_edges[v].empty()) {
+        continue;
+      }
+      ++lags[v];
+      changed = true;
+    }
+    if (!changed) break;
+  }
+  if (!graph.Arrival(lags, arrival)) return std::nullopt;
+  for (size_t v = 0; v < n; ++v) {
+    if (arrival[v] > phi) return std::nullopt;
+  }
+  if (!graph.IsLegal(lags)) return std::nullopt;
+  return Retiming{std::move(lags)};
+}
+
+/// Probes every period from the largest gate delay up to the as-built
+/// one and compares Feasible() against the reference.
+void ExpectFeasibleMatchesReference(const Graph& graph) {
+  int lo = 0;
+  for (const Vertex& vertex : graph.vertices) lo = std::max(lo, vertex.delay);
+  for (int phi = lo; phi <= graph.ClockPeriod(); ++phi) {
+    SCOPED_TRACE("phi = " + std::to_string(phi));
+    const auto actual = Feasible(graph, phi);
+    const auto expected = ReferenceFeasible(graph, phi);
+    ASSERT_EQ(actual.has_value(), expected.has_value());
+    if (actual) {
+      EXPECT_EQ(actual->lags, expected->lags);
+    }
+  }
+}
+
+TEST(MinPeriod, FeasibleMatchesReferenceOnRandomCircuits) {
+  // The property-test circuits, plus larger ones from the same
+  // generator so that more probes need several relaxation passes.
+  using retest::testing::RandomCircuitOptions;
+  RandomCircuitOptions larger;
+  larger.num_inputs = 5;
+  larger.num_dffs = 10;
+  larger.num_gates = 80;
+  for (const RandomCircuitOptions& options : {RandomCircuitOptions{}, larger}) {
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + ", " +
+                   std::to_string(options.num_gates) + " gates");
+      const Circuit circuit = retest::testing::MakeRandomCircuit(seed, options);
+      for (DelayModel model : {DelayModel::kUnit, DelayModel::kFaninCount}) {
+        ExpectFeasibleMatchesReference(BuildGraph(circuit, model).graph);
+      }
+    }
+  }
+}
+
+TEST(MinPeriod, FeasibleMatchesReferenceOnADeepPipeline) {
+  // Eight gates followed by eight registers: reaching period 1 moves
+  // registers back across all of them, one relaxation pass per gate.
+  Builder builder("deep");
+  builder.Input("x");
+  std::string net = "x";
+  for (int i = 0; i < 8; ++i) {
+    builder.Not("g" + std::to_string(i), net);
+    net = "g" + std::to_string(i);
+  }
+  for (int i = 0; i < 8; ++i) {
+    builder.Dff("q" + std::to_string(i), net);
+    net = "q" + std::to_string(i);
+  }
+  builder.Output("z", net);
+  const BuildResult build = BuildGraph(builder.Build());
+  ASSERT_EQ(build.graph.ClockPeriod(), 8);
+  ASSERT_TRUE(Feasible(build.graph, 1).has_value());
+  ExpectFeasibleMatchesReference(build.graph);
+}
+
+TEST(MinPeriod, FeasibleMatchesReferenceOnPaperPairs) {
+  const std::pair<Circuit, retest::testing::RetimedPair> pairs[] = {
+      {retest::testing::MakeFig2C1(), retest::testing::MakeFig2Pair()},
+      {retest::testing::MakeFig3L1(), retest::testing::MakeFig3Pair()},
+      {retest::testing::MakeFig5N1(), retest::testing::MakeFig5Pair()},
+  };
+  for (const auto& [original, pair] : pairs) {
+    SCOPED_TRACE(original.name());
+    for (DelayModel model : {DelayModel::kUnit, DelayModel::kFaninCount}) {
+      ExpectFeasibleMatchesReference(BuildGraph(original, model).graph);
+      ExpectFeasibleMatchesReference(
+          BuildGraph(pair.applied.circuit, model).graph);
+    }
+  }
+}
+
+TEST(MinPeriod, InfeasibilityWithoutAPinnedEdgeRunsEveryPass) {
+  // x -> g1 -> g2 -> g3 -[1]-> g1: a three-gate loop with one register
+  // and no path to any PO.  No edge enters a pinned vertex, so at
+  // phi = 2 FEAS only rotates the register around the loop and the
+  // verdict comes from the final check after all |V| - 1 passes.
+  Graph graph;
+  const auto add = [&graph](VertexKind kind, int delay, const char* name) {
+    return graph.AddVertex({kind, netlist::kNoNode, delay, name});
+  };
+  const VertexId x = add(VertexKind::kPi, 0, "x");
+  const VertexId g1 = add(VertexKind::kGate, 1, "g1");
+  const VertexId g2 = add(VertexKind::kGate, 1, "g2");
+  const VertexId g3 = add(VertexKind::kGate, 1, "g3");
+  graph.AddEdge({x, g1, 0, 0, {}});
+  graph.AddEdge({g1, g2, 0, 0, {}});
+  graph.AddEdge({g2, g3, 0, 0, {}});
+  graph.AddEdge({g3, g1, 1, 1, {}});
+  ASSERT_EQ(graph.ClockPeriod(), 3);
+  EXPECT_FALSE(Feasible(graph, 2).has_value());
+  EXPECT_FALSE(ReferenceFeasible(graph, 2).has_value());
+  ExpectFeasibleMatchesReference(graph);
 }
 
 TEST(MinReg, RecoversSharedRegisters) {

@@ -552,6 +552,66 @@ TEST(Service, SpoolRecoveryResumesFromTheJournalBitIdentically) {
   std::filesystem::remove_all(spool);
 }
 
+void ExpectSameRecord(const JobRecord& actual, const JobRecord& expected) {
+  EXPECT_EQ(actual.id, expected.id);
+  EXPECT_EQ(actual.name, expected.name);
+  EXPECT_EQ(actual.kind, expected.kind);
+  EXPECT_EQ(actual.state, expected.state);
+  EXPECT_EQ(actual.queued_ms, expected.queued_ms);
+  EXPECT_EQ(actual.run_ms, expected.run_ms);
+  EXPECT_EQ(actual.resumed, expected.resumed);
+  EXPECT_EQ(actual.result_json, expected.result_json);
+}
+
+TEST(Service, FinishedJobsAnswerQueriesAfterReleasingTheirInputs) {
+  // A finished job keeps only what its registry record needs; its
+  // parsed circuits, tests and body text are released.  Query,
+  // Snapshot and Result must still answer with exactly the record the
+  // job finished with.
+  JobSpec atpg;
+  atpg.name = "atpg";
+  atpg.atpg = QuickAtpg();
+  atpg.netlist = netlist::WriteBenchString(QuickCircuit(7));
+  JobSpec preserve = atpg;
+  preserve.kind = JobKind::kPreserve;
+  preserve.name = "preserve";
+  preserve.retimed = preserve.netlist;
+  JobSpec fsim;
+  fsim.kind = JobKind::kFaultSim;
+  fsim.name = "fsim";
+  fsim.netlist = kTinyBench;
+  fsim.tests = "11\n01\n10\n";
+
+  Service service;
+  std::vector<std::uint64_t> ids;
+  for (const JobSpec* spec : {&atpg, &fsim, &preserve, &atpg}) {
+    const auto submission = service.Submit(*spec);
+    ASSERT_TRUE(submission.accepted) << submission.diagnostics.ToString();
+    ids.push_back(submission.id);
+  }
+  std::vector<JobRecord> finished;
+  for (const std::uint64_t id : ids) {
+    const auto record = service.Wait(id);
+    ASSERT_TRUE(record.has_value());
+    ASSERT_EQ(record->state, JobState::kDone) << record->result_json;
+    finished.push_back(*record);
+  }
+
+  const std::vector<JobRecord> snapshot = service.Snapshot();
+  ASSERT_EQ(snapshot.size(), finished.size());
+  for (std::size_t i = 0; i < finished.size(); ++i) {
+    SCOPED_TRACE(finished[i].name);
+    ExpectSameRecord(snapshot[i], finished[i]);
+    const auto queried = service.Query(finished[i].id);
+    ASSERT_TRUE(queried.has_value());
+    ExpectSameRecord(*queried, finished[i]);
+    EXPECT_EQ(service.Result(finished[i].id), finished[i].result_json);
+  }
+  // Identical specs still give identical results.
+  EXPECT_EQ(Field(finished[0].result_json, "tests_crc32"),
+            Field(finished[3].result_json, "tests_crc32"));
+}
+
 TEST(Service, PreserveJobCertifiesAndMapsTests) {
   // An identity "retiming" (the circuit against itself) certifies with
   // prefix 0 and must keep the mapped coverage equal to the original
