@@ -1,16 +1,17 @@
 #include "atpg/justify.h"
 
-#include "atpg/val5.h"
-#include "sim/levelizer.h"
+#include <utility>
+
 #include "sim/logic3.h"
 
 namespace retest::atpg {
-namespace {
 
 using netlist::Node;
 using netlist::NodeId;
 using netlist::NodeKind;
 using sim::V3;
+
+namespace {
 
 /// Shared search budget.
 struct Budget {
@@ -25,25 +26,34 @@ struct Budget {
   }
 };
 
+}  // namespace
+
 /// Enumerates (input vector, predecessor state cube) pairs whose
 /// next-state function covers the target cube in BOTH the good and the
 /// faulty machine, via PODEM over one composite combinational frame
-/// with PIs and pseudo-PIs assignable.
-class FrameSolver {
+/// with PIs and pseudo-PIs assignable.  `values` starts as the fault's
+/// all-X baseline and is kept consistent with the assignments by the
+/// owner's event-driven propagation.
+class Justifier::FrameSolver {
  public:
-  FrameSolver(const netlist::Circuit& circuit, const sim::Levelization& levels,
-              const std::vector<char>& pi_reachable,
-              const std::vector<V3>& target,
-              const std::optional<fault::Fault>& fault, Budget& budget)
-      : circuit_(circuit),
-        levels_(levels),
-        pi_reachable_(pi_reachable),
+  FrameSolver(Justifier& owner, std::vector<V5>& values,
+              const std::vector<V3>& target, Budget& budget)
+      : owner_(owner),
+        circuit_(owner.circuit_),
+        values_(values),
         target_(target),
-        fault_(fault),
         budget_(budget),
-        values_(static_cast<size_t>(circuit.size()), V5::X()),
-        pi_(static_cast<size_t>(circuit.num_inputs()), V3::kX),
-        ppi_(static_cast<size_t>(circuit.num_dffs()), V3::kX) {}
+        pi_(static_cast<size_t>(circuit_.num_inputs()), V3::kX),
+        ppi_(static_cast<size_t>(circuit_.num_dffs()), V3::kX) {}
+
+  /// Updates still queued when the search leaves this frame (budget
+  /// exhausted after a decision, or the last undo) are moot: the frame
+  /// is discarded.  Dropping them keeps the shared queue empty between
+  /// frames and between calls.
+  ~FrameSolver() { owner_.ClearQueue(); }
+
+  FrameSolver(const FrameSolver&) = delete;
+  FrameSolver& operator=(const FrameSolver&) = delete;
 
   /// Finds the next satisfying assignment; returns false when the
   /// space (or budget) is exhausted.  After a `true` return, read the
@@ -63,7 +73,10 @@ class FrameSolver {
         done_ = true;
         return false;
       }
-      Evaluate();
+      // One step: charged as a full frame evaluation, performed as an
+      // incremental update of the assignments changed since the last.
+      budget_.evaluations += owner_.frame_charge_;
+      owner_.Propagate(values_);
       const int verdict = CheckTargets();
       if (verdict == kSatisfied) {
         yielded_ = true;
@@ -100,81 +113,16 @@ class FrameSolver {
     bool flipped = false;
   };
 
-  bool HasFaultAt(NodeId id, int pin) const {
-    return fault_ && fault_->site.node == id && fault_->site.pin == pin;
-  }
-  V3 Forced() const { return fault_->stuck_at_1 ? V3::k1 : V3::k0; }
-
-  void Evaluate() {
-    const auto& pis = circuit_.inputs();
-    for (size_t i = 0; i < pis.size(); ++i) {
-      V5 v = Both(pi_[i]);
-      if (HasFaultAt(pis[i], -1)) v.faulty = Forced();
-      values_[static_cast<size_t>(pis[i])] = v;
-    }
-    const auto& dffs = circuit_.dffs();
-    for (size_t i = 0; i < dffs.size(); ++i) {
-      V5 v = Both(ppi_[i]);
-      if (HasFaultAt(dffs[i], -1)) v.faulty = Forced();
-      values_[static_cast<size_t>(dffs[i])] = v;
-    }
-    for (NodeId id : levels_.order) {
-      const Node& node = circuit_.node(id);
-      if (node.kind == NodeKind::kInput || node.kind == NodeKind::kDff) {
-        continue;
-      }
-      ++budget_.evaluations;
-      V5 out;
-      auto fold = [&](V3 unit, auto&& op, bool invert) {
-        out = Both(unit);
-        for (size_t pin = 0; pin < node.fanin.size(); ++pin) {
-          V5 in = values_[static_cast<size_t>(node.fanin[pin])];
-          if (HasFaultAt(id, static_cast<int>(pin))) in.faulty = Forced();
-          out.good = op(out.good, in.good);
-          out.faulty = op(out.faulty, in.faulty);
-        }
-        if (invert) {
-          out.good = sim::Not3(out.good);
-          out.faulty = sim::Not3(out.faulty);
-        }
-      };
-      switch (node.kind) {
-        case NodeKind::kConst0: out = Both(V3::k0); break;
-        case NodeKind::kConst1: out = Both(V3::k1); break;
-        case NodeKind::kOutput:
-        case NodeKind::kBuf:
-        case NodeKind::kNot:
-          out = values_[static_cast<size_t>(node.fanin[0])];
-          if (HasFaultAt(id, 0)) out.faulty = Forced();
-          if (node.kind == NodeKind::kNot) {
-            out.good = sim::Not3(out.good);
-            out.faulty = sim::Not3(out.faulty);
-          }
-          break;
-        case NodeKind::kAnd: fold(V3::k1, sim::And3, false); break;
-        case NodeKind::kNand: fold(V3::k1, sim::And3, true); break;
-        case NodeKind::kOr: fold(V3::k0, sim::Or3, false); break;
-        case NodeKind::kNor: fold(V3::k0, sim::Or3, true); break;
-        case NodeKind::kXor: fold(V3::k0, sim::Xor3, false); break;
-        case NodeKind::kXnor: fold(V3::k0, sim::Xor3, true); break;
-        default: out = V5::X(); break;
-      }
-      if (HasFaultAt(id, -1)) out.faulty = Forced();
-      values_[static_cast<size_t>(id)] = out;
-    }
-  }
-
   /// The value latched by DFF index b (with a data-pin fault applied).
   V5 Latched(size_t b) const {
-    const NodeId dff = circuit_.dffs()[b];
-    V5 v = values_[static_cast<size_t>(circuit_.node(dff).fanin[0])];
-    if (HasFaultAt(dff, 0)) v.faulty = Forced();
+    V5 v = values_[static_cast<size_t>(owner_.dff_data_[b])];
+    if (owner_.HasFaultAt(circuit_.dffs()[b], 0)) v.faulty = owner_.Forced();
     return v;
   }
 
   /// Returns kSatisfied, kConflict, or the index of an unsatisfied
   /// target bit (one whose latched value still has an unknown side).
-  int CheckTargets() {
+  int CheckTargets() const {
     int unsatisfied = kSatisfied;
     for (size_t b = 0; b < target_.size(); ++b) {
       if (target_[b] == V3::kX) continue;
@@ -190,19 +138,14 @@ class FrameSolver {
     return unsatisfied;
   }
 
-  std::optional<Decision> Backtrace(int target_bit) {
-    NodeId where = circuit_.node(circuit_.dffs()[static_cast<size_t>(
-        target_bit)]).fanin[0];
+  std::optional<Decision> Backtrace(int target_bit) const {
+    NodeId where = owner_.dff_data_[static_cast<size_t>(target_bit)];
     V3 value = target_[static_cast<size_t>(target_bit)];
     for (int guard = 0; guard < 1'000'000; ++guard) {
       const Node& node = circuit_.node(where);
       switch (node.kind) {
         case NodeKind::kInput: {
-          int pi_index = 0;
-          for (NodeId pi : circuit_.inputs()) {
-            if (pi == where) break;
-            ++pi_index;
-          }
+          const int pi_index = owner_.pi_index_[static_cast<size_t>(where)];
           if (pi_[static_cast<size_t>(pi_index)] != V3::kX) {
             return std::nullopt;  // already assigned; nothing to decide
           }
@@ -212,11 +155,7 @@ class FrameSolver {
           return decision;
         }
         case NodeKind::kDff: {
-          int ppi_index = 0;
-          for (NodeId dff : circuit_.dffs()) {
-            if (dff == where) break;
-            ++ppi_index;
-          }
+          const int ppi_index = owner_.dff_index_[static_cast<size_t>(where)];
           if (ppi_[static_cast<size_t>(ppi_index)] != V3::kX) {
             return std::nullopt;
           }
@@ -247,7 +186,8 @@ class FrameSolver {
             for (NodeId driver : node.fanin) {
               const V5& v = values_[static_cast<size_t>(driver)];
               if (v.good != V3::kX && v.faulty != V3::kX) continue;
-              if (pass == 0 && !pi_reachable_[static_cast<size_t>(driver)]) {
+              if (pass == 0 &&
+                  !owner_.pi_reachable_[static_cast<size_t>(driver)]) {
                 continue;
               }
               chosen = driver;
@@ -265,12 +205,23 @@ class FrameSolver {
     return std::nullopt;
   }
 
-  void Apply(const Decision& decision) {
-    if (decision.pi >= 0) {
-      pi_[static_cast<size_t>(decision.pi)] = decision.value;
+  /// Assigns PI `pi`, or pseudo-PI `ppi` when pi < 0 (X unassigns),
+  /// and schedules the change; the next step's Propagate settles the
+  /// frame.
+  void Assign(int pi, int ppi, V3 value) {
+    if (pi >= 0) {
+      pi_[static_cast<size_t>(pi)] = value;
+      owner_.SetSource(values_, circuit_.inputs()[static_cast<size_t>(pi)],
+                       value);
     } else {
-      ppi_[static_cast<size_t>(decision.ppi)] = decision.value;
+      ppi_[static_cast<size_t>(ppi)] = value;
+      owner_.SetSource(values_, circuit_.dffs()[static_cast<size_t>(ppi)],
+                       value);
     }
+  }
+
+  void Apply(const Decision& decision) {
+    Assign(decision.pi, decision.ppi, decision.value);
   }
 
   bool Backtrack() {
@@ -282,24 +233,17 @@ class FrameSolver {
         Apply(top);
         return true;
       }
-      // Unassign.
-      if (top.pi >= 0) {
-        pi_[static_cast<size_t>(top.pi)] = V3::kX;
-      } else {
-        ppi_[static_cast<size_t>(top.ppi)] = V3::kX;
-      }
+      Assign(top.pi, top.ppi, V3::kX);  // unassign
       stack_.pop_back();
     }
     return false;
   }
 
+  Justifier& owner_;
   const netlist::Circuit& circuit_;
-  const sim::Levelization& levels_;
-  const std::vector<char>& pi_reachable_;
+  std::vector<V5>& values_;
   const std::vector<V3>& target_;
-  const std::optional<fault::Fault>& fault_;
   Budget& budget_;
-  std::vector<V5> values_;
   std::vector<V3> pi_;
   std::vector<V3> ppi_;
   std::vector<Decision> stack_;
@@ -307,32 +251,14 @@ class FrameSolver {
   bool done_ = false;
 };
 
-class Justifier {
+/// One justification call: the backward recursion over frame solvers
+/// under a shared budget.
+class Justifier::Search {
  public:
-  Justifier(const netlist::Circuit& circuit, const JustifyOptions& options,
-            const std::optional<fault::Fault>& fault, JustifyCache* cache)
-      : circuit_(circuit),
-        options_(options),
-        fault_(fault),
-        cache_(cache),
-        levels_(sim::Levelize(circuit)) {
+  Search(Justifier& owner, const JustifyOptions& options,
+         const std::optional<fault::Fault>& fault)
+      : owner_(owner), options_(options), fault_(fault) {
     budget_.options = &options_;
-    // Static reachability of a real PI per node.
-    pi_reachable_.assign(static_cast<size_t>(circuit.size()), 0);
-    for (NodeId id : levels_.order) {
-      const Node& node = circuit.node(id);
-      if (node.kind == NodeKind::kInput) {
-        pi_reachable_[static_cast<size_t>(id)] = 1;
-      } else if (node.kind == NodeKind::kDff) {
-        pi_reachable_[static_cast<size_t>(id)] = 0;
-      } else {
-        char value = 0;
-        for (NodeId driver : node.fanin) {
-          value |= pi_reachable_[static_cast<size_t>(driver)];
-        }
-        pi_reachable_[static_cast<size_t>(id)] = value;
-      }
-    }
   }
 
   JustifyResult Run(const std::vector<V3>& target) {
@@ -357,17 +283,12 @@ class Justifier {
     bool trivial = true;
     for (V3 v : target) trivial &= (v == V3::kX);
     if (trivial) return true;  // any state will do
-    if (cache_ != nullptr) {
-      if (const sim::InputSequence* known = cache_->FindSuccess(target)) {
-        sequence = *known;
-        return true;
-      }
-      if (cache_->IsKnownFailure(target, fault_)) return false;
-    }
     if (depth >= options_.max_depth || budget_.Exhausted()) return false;
 
-    FrameSolver solver(circuit_, levels_, pi_reachable_, target, fault_,
-                       budget_);
+    owner_.PrepareBaseline(fault_);
+    std::vector<V5>& values = owner_.frames_[static_cast<size_t>(depth)];
+    values = owner_.baseline_;
+    FrameSolver solver(owner_, values, target, budget_);
     while (solver.Next()) {
       if (Recurse(solver.predecessor(), depth + 1, sequence)) {
         // Prefix found for the predecessor; append this frame's
@@ -377,68 +298,249 @@ class Justifier {
           if (v == V3::kX) v = V3::k0;
         }
         sequence.push_back(std::move(vector));
-        if (cache_ != nullptr) cache_->RecordSuccess(target, sequence);
         return true;
       }
-    }
-    if (cache_ != nullptr && !budget_.Exhausted()) {
-      cache_->RecordFailure(target, fault_);
     }
     return false;
   }
 
-  const netlist::Circuit& circuit_;
-  JustifyOptions options_;
-  std::optional<fault::Fault> fault_;
-  JustifyCache* cache_;
-  sim::Levelization levels_;
-  std::vector<char> pi_reachable_;
+  Justifier& owner_;
+  const JustifyOptions& options_;
+  const std::optional<fault::Fault>& fault_;
   Budget budget_;
 };
 
-}  // namespace
+Justifier::Justifier(const netlist::Circuit& circuit)
+    : circuit_(circuit), levels_(sim::Levelize(circuit)) {
+  const size_t n = static_cast<size_t>(circuit.size());
+  pi_index_.assign(n, -1);
+  dff_index_.assign(n, -1);
+  for (size_t i = 0; i < circuit.inputs().size(); ++i) {
+    pi_index_[static_cast<size_t>(circuit.inputs()[i])] = static_cast<int>(i);
+  }
+  for (size_t i = 0; i < circuit.dffs().size(); ++i) {
+    const NodeId dff = circuit.dffs()[i];
+    dff_index_[static_cast<size_t>(dff)] = static_cast<int>(i);
+    dff_data_.push_back(circuit.node(dff).fanin[0]);
+  }
 
-const sim::InputSequence* JustifyCache::FindSuccess(
-    const std::vector<V3>& target) const {
-  for (const auto& [cube, sequence] : successes_) {
-    if (cube.size() != target.size()) continue;
-    bool subsumes = true;
-    for (size_t b = 0; b < target.size() && subsumes; ++b) {
-      if (target[b] != V3::kX && cube[b] != target[b]) subsumes = false;
+  kind_.reserve(n);
+  fanin_begin_.reserve(n + 1);
+  for (size_t id = 0; id < n; ++id) {
+    const Node& node = circuit.node(static_cast<NodeId>(id));
+    kind_.push_back(node.kind);
+    fanin_begin_.push_back(static_cast<int>(fanin_.size()));
+    fanin_.insert(fanin_.end(), node.fanin.begin(), node.fanin.end());
+  }
+  fanin_begin_.push_back(static_cast<int>(fanin_.size()));
+
+  // Static reachability of a real PI per node, and the full-frame
+  // charge (every node a from-scratch evaluation would compute).
+  pi_reachable_.assign(n, 0);
+  for (NodeId id : levels_.order) {
+    const Node& node = circuit.node(id);
+    if (node.kind == NodeKind::kInput) {
+      pi_reachable_[static_cast<size_t>(id)] = 1;
+    } else if (node.kind != NodeKind::kDff) {
+      ++frame_charge_;
+      char value = 0;
+      for (NodeId driver : node.fanin) {
+        value |= pi_reachable_[static_cast<size_t>(driver)];
+      }
+      pi_reachable_[static_cast<size_t>(id)] = value;
     }
-    if (subsumes) return &sequence;
   }
-  return nullptr;
-}
 
-bool JustifyCache::IsKnownFailure(
-    const std::vector<V3>& target,
-    const std::optional<fault::Fault>& fault) const {
-  for (const auto& [cube, tag] : failures_) {
-    if (cube == target && tag == fault) return true;
+  // The next-state cone: the combinational fanin of every DFF data
+  // pin, closed in reverse topological order (a DFF output is a source
+  // of this frame; its own fanin belongs to the previous one).
+  std::vector<char> in_cone(n, 0);
+  for (NodeId data : dff_data_) in_cone[static_cast<size_t>(data)] = 1;
+  for (auto it = levels_.order.rbegin(); it != levels_.order.rend(); ++it) {
+    const Node& node = circuit.node(*it);
+    if (!in_cone[static_cast<size_t>(*it)] || node.kind == NodeKind::kDff) {
+      continue;
+    }
+    for (NodeId driver : node.fanin) in_cone[static_cast<size_t>(driver)] = 1;
   }
-  return false;
+  for (NodeId id : levels_.order) {
+    if (in_cone[static_cast<size_t>(id)]) cone_order_.push_back(id);
+  }
+  cone_fanout_begin_.assign(n + 1, 0);
+  for (size_t id = 0; id < n; ++id) {
+    cone_fanout_begin_[id] = static_cast<int>(cone_fanout_.size());
+    if (!in_cone[id]) continue;
+    for (NodeId sink : circuit.node(static_cast<NodeId>(id)).fanout) {
+      if (in_cone[static_cast<size_t>(sink)] &&
+          circuit.node(sink).kind != NodeKind::kDff) {
+        cone_fanout_.push_back(sink);
+      }
+    }
+  }
+  cone_fanout_begin_[n] = static_cast<int>(cone_fanout_.size());
+
+  buckets_.resize(static_cast<size_t>(levels_.depth) + 1);
+  queued_.assign(n, 0);
 }
 
-void JustifyCache::RecordSuccess(const std::vector<V3>& cube,
-                                 sim::InputSequence sequence) {
-  if (FindSuccess(cube) != nullptr) return;
-  successes_.emplace_back(cube, std::move(sequence));
+JustifyResult Justifier::Run(const std::vector<V3>& target,
+                             const JustifyOptions& options,
+                             const std::optional<fault::Fault>& fault) {
+  gate_evals_ = 0;
+  if (frames_.size() < static_cast<size_t>(options.max_depth)) {
+    // Sized up front: a solver holds a reference to its depth's frame
+    // while deeper ones are in use.
+    frames_.resize(static_cast<size_t>(options.max_depth));
+  }
+  Search search(*this, options, fault);
+  JustifyResult result = search.Run(target);
+  result.gate_evals = gate_evals_;
+  return result;
 }
 
-void JustifyCache::RecordFailure(const std::vector<V3>& cube,
-                                 const std::optional<fault::Fault>& fault) {
-  if (IsKnownFailure(cube, fault)) return;
-  failures_.emplace_back(cube, fault);
+void Justifier::PrepareBaseline(const std::optional<fault::Fault>& fault) {
+  if (baseline_ready_ && fault_ == fault) return;
+  fault_ = fault;
+  baseline_ready_ = true;
+  baseline_.assign(static_cast<size_t>(circuit_.size()), V5::X());
+  for (NodeId id : cone_order_) {
+    const NodeKind kind = kind_[static_cast<size_t>(id)];
+    V5& slot = baseline_[static_cast<size_t>(id)];
+    if (kind == NodeKind::kInput || kind == NodeKind::kDff) {
+      if (HasFaultAt(id, -1)) slot.faulty = Forced();
+    } else {
+      slot = ComputeGate(baseline_.data(), id);
+      ++gate_evals_;
+    }
+  }
+}
+
+V5 Justifier::ComputeGate(const V5* values, NodeId id) const {
+  const size_t at = static_cast<size_t>(id);
+  const NodeId* fanin = fanin_.data() + fanin_begin_[at];
+  const int count = fanin_begin_[at + 1] - fanin_begin_[at];
+  const int fault_pin =
+      fault_ && fault_->site.node == id ? fault_->site.pin : -1;
+  auto input = [&](int pin) {
+    V5 in = values[static_cast<size_t>(fanin[pin])];
+    if (pin == fault_pin) in.faulty = Forced();
+    return in;
+  };
+  V5 out;
+  auto fold = [&](V3 unit, auto&& op, bool invert) {
+    out = Both(unit);
+    for (int pin = 0; pin < count; ++pin) {
+      const V5 in = input(pin);
+      out.good = op(out.good, in.good);
+      out.faulty = op(out.faulty, in.faulty);
+    }
+    if (invert) {
+      out.good = sim::Not3(out.good);
+      out.faulty = sim::Not3(out.faulty);
+    }
+  };
+  switch (kind_[at]) {
+    case NodeKind::kConst0: out = Both(V3::k0); break;
+    case NodeKind::kConst1: out = Both(V3::k1); break;
+    case NodeKind::kOutput:
+    case NodeKind::kBuf:
+      out = input(0);
+      break;
+    case NodeKind::kNot:
+      out = input(0);
+      out.good = sim::Not3(out.good);
+      out.faulty = sim::Not3(out.faulty);
+      break;
+    case NodeKind::kAnd: fold(V3::k1, sim::And3, false); break;
+    case NodeKind::kNand: fold(V3::k1, sim::And3, true); break;
+    case NodeKind::kOr: fold(V3::k0, sim::Or3, false); break;
+    case NodeKind::kNor: fold(V3::k0, sim::Or3, true); break;
+    case NodeKind::kXor: fold(V3::k0, sim::Xor3, false); break;
+    case NodeKind::kXnor: fold(V3::k0, sim::Xor3, true); break;
+    default: out = V5::X(); break;
+  }
+  if (HasFaultAt(id, -1)) out.faulty = Forced();
+  return out;
+}
+
+void Justifier::Touch(NodeId id) {
+  char& queued = queued_[static_cast<size_t>(id)];
+  if (queued) return;
+  queued = 1;
+  const int level = levels_.level[static_cast<size_t>(id)];
+  buckets_[static_cast<size_t>(level)].push_back(id);
+  if (queue_pending_ == 0 || level < queue_min_level_) {
+    queue_min_level_ = level;
+  }
+  ++queue_pending_;
+}
+
+void Justifier::SetSource(std::vector<V5>& values, NodeId id, V3 value) {
+  V5 next = Both(value);
+  if (HasFaultAt(id, -1)) next.faulty = Forced();
+  V5& slot = values[static_cast<size_t>(id)];
+  if (slot == next) return;
+  slot = next;
+  for (int k = cone_fanout_begin_[static_cast<size_t>(id)];
+       k < cone_fanout_begin_[static_cast<size_t>(id) + 1]; ++k) {
+    Touch(cone_fanout_[static_cast<size_t>(k)]);
+  }
+}
+
+void Justifier::Propagate(std::vector<V5>& values) {
+  if (queue_pending_ == 0) return;
+  // A node's consumers sit on strictly higher levels, so each bucket
+  // is complete when the sweep reaches it and scheduling never lowers
+  // the sweep's level.  The hot loop works on locals: the dedup bitmap
+  // is char data, which may alias any member.
+  V5* const frame = values.data();
+  char* const queued = queued_.data();
+  const int* const fanout_begin = cone_fanout_begin_.data();
+  const NodeId* const fanout = cone_fanout_.data();
+  const int* const level_of = levels_.level.data();
+  long pending = queue_pending_;
+  long evaluated = 0;
+  for (size_t level = static_cast<size_t>(queue_min_level_); pending > 0;
+       ++level) {
+    std::vector<NodeId>& bucket = buckets_[level];
+    for (size_t i = 0; i < bucket.size(); ++i) {
+      const NodeId id = bucket[i];
+      queued[id] = 0;
+      --pending;
+      ++evaluated;
+      const V5 next = ComputeGate(frame, id);
+      if (frame[id] == next) continue;
+      frame[id] = next;
+      for (int k = fanout_begin[id]; k < fanout_begin[id + 1]; ++k) {
+        const NodeId sink = fanout[k];
+        if (queued[sink]) continue;
+        queued[sink] = 1;
+        buckets_[static_cast<size_t>(level_of[sink])].push_back(sink);
+        ++pending;
+      }
+    }
+    bucket.clear();
+  }
+  queue_pending_ = 0;
+  gate_evals_ += evaluated;
+}
+
+void Justifier::ClearQueue() {
+  for (size_t level = static_cast<size_t>(queue_min_level_);
+       queue_pending_ > 0; ++level) {
+    std::vector<NodeId>& bucket = buckets_[level];
+    for (const NodeId id : bucket) queued_[static_cast<size_t>(id)] = 0;
+    queue_pending_ -= static_cast<long>(bucket.size());
+    bucket.clear();
+  }
 }
 
 JustifyResult JustifyState(const netlist::Circuit& circuit,
                            const std::vector<V3>& target,
                            const JustifyOptions& options,
-                           const std::optional<fault::Fault>& fault,
-                           JustifyCache* cache) {
-  Justifier justifier(circuit, options, fault, cache);
-  return justifier.Run(target);
+                           const std::optional<fault::Fault>& fault) {
+  Justifier justifier(circuit);
+  return justifier.Run(target, options, fault);
 }
 
 }  // namespace retest::atpg

@@ -51,10 +51,13 @@ struct Slot {
 };
 
 /// Per-worker reusable models; constructed lazily on the worker's
-/// first fault and re-armed with SetFault/GrowFrames afterwards.
+/// first fault and re-armed with SetFault/GrowFrames afterwards.  The
+/// justifier keeps its static tables for the worker's lifetime and its
+/// baseline frame per fault.  Each is touched by its worker only.
 struct WorkerModels {
   std::optional<UnrolledModel> redundancy;  // 1 frame, free + observed
   std::optional<UnrolledModel> search;      // style-dependent state mode
+  std::optional<Justifier> justifier;       // kJustification only
 };
 
 class Driver {
@@ -264,11 +267,17 @@ class Driver {
       justify_options.max_depth = options_.justify_max_depth;
       justify_options.max_backtracks = options_.justify_backtracks;
       justify_options.stop = stop;
-      const JustifyResult justified = JustifyState(
-          circuit_, model.StateAssignments(), justify_options, fault);
+      if (!models.justifier) models.justifier.emplace(circuit_);
+      const JustifyResult justified = models.justifier->Run(
+          model.StateAssignments(), justify_options, fault);
       out.evaluations += justified.evaluations;
       RETEST_COUNTER_ADD("atpg.justify.calls", "calls", "atpg",
                          "backward state-justification attempts", 1);
+      RETEST_COUNTER_ADD("atpg.justify.gate_evals", "gates", "atpg",
+                         "gates the incremental justification frame "
+                         "solver actually evaluated (the charged "
+                         "evaluations count a full frame per step)",
+                         justified.gate_evals);
       if (justified.status == JustifyStatus::kJustified) {
         RETEST_COUNTER_ADD("atpg.justify.justified", "calls", "atpg",
                            "justification attempts that found a state "

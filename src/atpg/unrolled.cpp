@@ -504,10 +504,6 @@ long UnrolledModel::Evaluate() {
     for (NodeId id : levels_.order) {
       Install(t, id, Compute(t, id));
       ++count;
-      if (observe_state_ && circuit_->node(id).kind == NodeKind::kDff &&
-          t > 0) {
-        // The latched observation of frame t-1 is now final.
-      }
     }
   }
   if (observe_state_) {

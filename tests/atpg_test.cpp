@@ -4,11 +4,14 @@
 #include "atpg/justify.h"
 #include "atpg/podem.h"
 #include "atpg/unrolled.h"
+#include "fault/collapse.h"
 #include "faultsim/serial.h"
 #include "fsm/benchmarks.h"
 #include "netlist/builder.h"
+#include "sim/levelizer.h"
 #include "synth/synthesize.h"
 #include "tests/paper_circuits.h"
+#include "tests/random_circuits.h"
 
 namespace retest::atpg {
 namespace {
@@ -362,19 +365,460 @@ TEST(Justify, CompositeJustificationSyncsFaultyMachine) {
   EXPECT_EQ(good.status, JustifyStatus::kJustified);
 }
 
-TEST(Justify, CacheReusesResults) {
-  const Circuit circuit = retest::testing::MakeFig5N1();
-  JustifyCache cache;
-  const std::vector<V3> target{V3::k1, V3::k1, V3::kX};
-  const auto first = JustifyState(circuit, target, {}, std::nullopt, &cache);
-  ASSERT_EQ(first.status, JustifyStatus::kJustified);
-  EXPECT_GT(cache.successes(), 0u);
-  // A subsumed target (fewer constraints) hits the cache with zero
-  // new work.
-  const auto second = JustifyState(circuit, {V3::k1, V3::kX, V3::kX}, {},
-                                   std::nullopt, &cache);
-  EXPECT_EQ(second.status, JustifyStatus::kJustified);
-  EXPECT_EQ(second.evaluations, 0);
+// ---------------------------------------------------------------------
+// Reference justification: the full-evaluation frame solver, which
+// re-evaluates every node of the composite frame on every step.  Kept
+// verbatim (minus the learned-result cache) as the oracle for the
+// incremental, next-state-cone solver in atpg/justify.cpp.
+namespace reference {
+
+using netlist::Node;
+using netlist::NodeId;
+using netlist::NodeKind;
+
+struct Budget {
+  long backtracks = 0;
+  long evaluations = 0;
+  const JustifyOptions* options;
+  bool Exhausted() const {
+    return backtracks > options->max_backtracks ||
+           evaluations > options->max_evaluations ||
+           (options->stop != nullptr &&
+            options->stop->load(std::memory_order_relaxed));
+  }
+};
+
+class FrameSolver {
+ public:
+  FrameSolver(const Circuit& circuit, const sim::Levelization& levels,
+              const std::vector<char>& pi_reachable,
+              const std::vector<V3>& target,
+              const std::optional<fault::Fault>& fault, Budget& budget)
+      : circuit_(circuit),
+        levels_(levels),
+        pi_reachable_(pi_reachable),
+        target_(target),
+        fault_(fault),
+        budget_(budget),
+        values_(static_cast<size_t>(circuit.size()), V5::X()),
+        pi_(static_cast<size_t>(circuit.num_inputs()), V3::kX),
+        ppi_(static_cast<size_t>(circuit.num_dffs()), V3::kX) {}
+
+  bool Next() {
+    if (done_) return false;
+    if (yielded_) {
+      if (!Backtrack()) {
+        done_ = true;
+        return false;
+      }
+    }
+    while (true) {
+      if (budget_.Exhausted()) {
+        done_ = true;
+        return false;
+      }
+      Evaluate();
+      const int verdict = CheckTargets();
+      if (verdict == kSatisfied) {
+        yielded_ = true;
+        return true;
+      }
+      std::optional<Decision> decision;
+      if (verdict >= 0) decision = Backtrace(verdict);
+      if (decision) {
+        Apply(*decision);
+        stack_.push_back(*decision);
+        continue;
+      }
+      ++budget_.backtracks;
+      if (!Backtrack()) {
+        done_ = true;
+        return false;
+      }
+    }
+  }
+
+  const std::vector<V3>& inputs() const { return pi_; }
+  const std::vector<V3>& predecessor() const { return ppi_; }
+
+ private:
+  static constexpr int kSatisfied = -1;
+  static constexpr int kConflict = -2;
+
+  struct Decision {
+    int pi = -1;
+    int ppi = -1;
+    V3 value = V3::kX;
+    bool flipped = false;
+  };
+
+  bool HasFaultAt(NodeId id, int pin) const {
+    return fault_ && fault_->site.node == id && fault_->site.pin == pin;
+  }
+  V3 Forced() const { return fault_->stuck_at_1 ? V3::k1 : V3::k0; }
+
+  void Evaluate() {
+    const auto& pis = circuit_.inputs();
+    for (size_t i = 0; i < pis.size(); ++i) {
+      V5 v = Both(pi_[i]);
+      if (HasFaultAt(pis[i], -1)) v.faulty = Forced();
+      values_[static_cast<size_t>(pis[i])] = v;
+    }
+    const auto& dffs = circuit_.dffs();
+    for (size_t i = 0; i < dffs.size(); ++i) {
+      V5 v = Both(ppi_[i]);
+      if (HasFaultAt(dffs[i], -1)) v.faulty = Forced();
+      values_[static_cast<size_t>(dffs[i])] = v;
+    }
+    for (NodeId id : levels_.order) {
+      const Node& node = circuit_.node(id);
+      if (node.kind == NodeKind::kInput || node.kind == NodeKind::kDff) {
+        continue;
+      }
+      ++budget_.evaluations;
+      V5 out;
+      auto fold = [&](V3 unit, auto&& op, bool invert) {
+        out = Both(unit);
+        for (size_t pin = 0; pin < node.fanin.size(); ++pin) {
+          V5 in = values_[static_cast<size_t>(node.fanin[pin])];
+          if (HasFaultAt(id, static_cast<int>(pin))) in.faulty = Forced();
+          out.good = op(out.good, in.good);
+          out.faulty = op(out.faulty, in.faulty);
+        }
+        if (invert) {
+          out.good = sim::Not3(out.good);
+          out.faulty = sim::Not3(out.faulty);
+        }
+      };
+      switch (node.kind) {
+        case NodeKind::kConst0: out = Both(V3::k0); break;
+        case NodeKind::kConst1: out = Both(V3::k1); break;
+        case NodeKind::kOutput:
+        case NodeKind::kBuf:
+        case NodeKind::kNot:
+          out = values_[static_cast<size_t>(node.fanin[0])];
+          if (HasFaultAt(id, 0)) out.faulty = Forced();
+          if (node.kind == NodeKind::kNot) {
+            out.good = sim::Not3(out.good);
+            out.faulty = sim::Not3(out.faulty);
+          }
+          break;
+        case NodeKind::kAnd: fold(V3::k1, sim::And3, false); break;
+        case NodeKind::kNand: fold(V3::k1, sim::And3, true); break;
+        case NodeKind::kOr: fold(V3::k0, sim::Or3, false); break;
+        case NodeKind::kNor: fold(V3::k0, sim::Or3, true); break;
+        case NodeKind::kXor: fold(V3::k0, sim::Xor3, false); break;
+        case NodeKind::kXnor: fold(V3::k0, sim::Xor3, true); break;
+        default: out = V5::X(); break;
+      }
+      if (HasFaultAt(id, -1)) out.faulty = Forced();
+      values_[static_cast<size_t>(id)] = out;
+    }
+  }
+
+  V5 Latched(size_t b) const {
+    const NodeId dff = circuit_.dffs()[b];
+    V5 v = values_[static_cast<size_t>(circuit_.node(dff).fanin[0])];
+    if (HasFaultAt(dff, 0)) v.faulty = Forced();
+    return v;
+  }
+
+  int CheckTargets() {
+    int unsatisfied = kSatisfied;
+    for (size_t b = 0; b < target_.size(); ++b) {
+      if (target_[b] == V3::kX) continue;
+      const V5 value = Latched(b);
+      if ((value.good != V3::kX && value.good != target_[b]) ||
+          (value.faulty != V3::kX && value.faulty != target_[b])) {
+        return kConflict;
+      }
+      if (value.good == V3::kX || value.faulty == V3::kX) {
+        if (unsatisfied == kSatisfied) unsatisfied = static_cast<int>(b);
+      }
+    }
+    return unsatisfied;
+  }
+
+  std::optional<Decision> Backtrace(int target_bit) {
+    NodeId where = circuit_.node(circuit_.dffs()[static_cast<size_t>(
+        target_bit)]).fanin[0];
+    V3 value = target_[static_cast<size_t>(target_bit)];
+    for (int guard = 0; guard < 1'000'000; ++guard) {
+      const Node& node = circuit_.node(where);
+      switch (node.kind) {
+        case NodeKind::kInput: {
+          int pi_index = 0;
+          for (NodeId pi : circuit_.inputs()) {
+            if (pi == where) break;
+            ++pi_index;
+          }
+          if (pi_[static_cast<size_t>(pi_index)] != V3::kX) {
+            return std::nullopt;
+          }
+          Decision decision;
+          decision.pi = pi_index;
+          decision.value = value;
+          return decision;
+        }
+        case NodeKind::kDff: {
+          int ppi_index = 0;
+          for (NodeId dff : circuit_.dffs()) {
+            if (dff == where) break;
+            ++ppi_index;
+          }
+          if (ppi_[static_cast<size_t>(ppi_index)] != V3::kX) {
+            return std::nullopt;
+          }
+          Decision decision;
+          decision.ppi = ppi_index;
+          decision.value = value;
+          return decision;
+        }
+        case NodeKind::kNot:
+          value = sim::Not3(value);
+          [[fallthrough]];
+        case NodeKind::kBuf:
+        case NodeKind::kOutput:
+          where = node.fanin[0];
+          break;
+        case NodeKind::kNand:
+        case NodeKind::kNor:
+          value = sim::Not3(value);
+          [[fallthrough]];
+        case NodeKind::kAnd:
+        case NodeKind::kOr:
+        case NodeKind::kXor:
+        case NodeKind::kXnor: {
+          NodeId chosen = netlist::kNoNode;
+          for (int pass = 0; pass < 2 && chosen == netlist::kNoNode; ++pass) {
+            for (NodeId driver : node.fanin) {
+              const V5& v = values_[static_cast<size_t>(driver)];
+              if (v.good != V3::kX && v.faulty != V3::kX) continue;
+              if (pass == 0 && !pi_reachable_[static_cast<size_t>(driver)]) {
+                continue;
+              }
+              chosen = driver;
+              break;
+            }
+          }
+          if (chosen == netlist::kNoNode) return std::nullopt;
+          where = chosen;
+          break;
+        }
+        default:
+          return std::nullopt;
+      }
+    }
+    return std::nullopt;
+  }
+
+  void Apply(const Decision& decision) {
+    if (decision.pi >= 0) {
+      pi_[static_cast<size_t>(decision.pi)] = decision.value;
+    } else {
+      ppi_[static_cast<size_t>(decision.ppi)] = decision.value;
+    }
+  }
+
+  bool Backtrack() {
+    while (!stack_.empty()) {
+      Decision& top = stack_.back();
+      if (!top.flipped) {
+        top.flipped = true;
+        top.value = sim::Not3(top.value);
+        Apply(top);
+        return true;
+      }
+      if (top.pi >= 0) {
+        pi_[static_cast<size_t>(top.pi)] = V3::kX;
+      } else {
+        ppi_[static_cast<size_t>(top.ppi)] = V3::kX;
+      }
+      stack_.pop_back();
+    }
+    return false;
+  }
+
+  const Circuit& circuit_;
+  const sim::Levelization& levels_;
+  const std::vector<char>& pi_reachable_;
+  const std::vector<V3>& target_;
+  const std::optional<fault::Fault>& fault_;
+  Budget& budget_;
+  std::vector<V5> values_;
+  std::vector<V3> pi_;
+  std::vector<V3> ppi_;
+  std::vector<Decision> stack_;
+  bool yielded_ = false;
+  bool done_ = false;
+};
+
+class Justifier {
+ public:
+  Justifier(const Circuit& circuit, const JustifyOptions& options,
+            const std::optional<fault::Fault>& fault)
+      : circuit_(circuit),
+        options_(options),
+        fault_(fault),
+        levels_(sim::Levelize(circuit)) {
+    budget_.options = &options_;
+    pi_reachable_.assign(static_cast<size_t>(circuit.size()), 0);
+    for (NodeId id : levels_.order) {
+      const Node& node = circuit.node(id);
+      if (node.kind == NodeKind::kInput) {
+        pi_reachable_[static_cast<size_t>(id)] = 1;
+      } else if (node.kind == NodeKind::kDff) {
+        pi_reachable_[static_cast<size_t>(id)] = 0;
+      } else {
+        char value = 0;
+        for (NodeId driver : node.fanin) {
+          value |= pi_reachable_[static_cast<size_t>(driver)];
+        }
+        pi_reachable_[static_cast<size_t>(id)] = value;
+      }
+    }
+  }
+
+  JustifyResult Run(const std::vector<V3>& target) {
+    JustifyResult result;
+    sim::InputSequence sequence;
+    const bool ok = Recurse(target, 0, sequence);
+    result.backtracks = budget_.backtracks;
+    result.evaluations = budget_.evaluations;
+    if (ok) {
+      result.status = JustifyStatus::kJustified;
+      result.sequence = std::move(sequence);
+    } else {
+      result.status = budget_.Exhausted() ? JustifyStatus::kAborted
+                                          : JustifyStatus::kFailed;
+    }
+    return result;
+  }
+
+ private:
+  bool Recurse(const std::vector<V3>& target, int depth,
+               sim::InputSequence& sequence) {
+    bool trivial = true;
+    for (V3 v : target) trivial &= (v == V3::kX);
+    if (trivial) return true;
+    if (depth >= options_.max_depth || budget_.Exhausted()) return false;
+    FrameSolver solver(circuit_, levels_, pi_reachable_, target, fault_,
+                       budget_);
+    while (solver.Next()) {
+      if (Recurse(solver.predecessor(), depth + 1, sequence)) {
+        std::vector<V3> vector = solver.inputs();
+        for (V3& v : vector) {
+          if (v == V3::kX) v = V3::k0;
+        }
+        sequence.push_back(std::move(vector));
+        return true;
+      }
+    }
+    return false;
+  }
+
+  const Circuit& circuit_;
+  JustifyOptions options_;
+  std::optional<fault::Fault> fault_;
+  sim::Levelization levels_;
+  std::vector<char> pi_reachable_;
+  Budget budget_;
+};
+
+JustifyResult JustifyState(const Circuit& circuit,
+                           const std::vector<V3>& target,
+                           const JustifyOptions& options,
+                           const std::optional<fault::Fault>& fault) {
+  Justifier justifier(circuit, options, fault);
+  return justifier.Run(target);
+}
+
+}  // namespace reference
+
+/// Faults exercising every injection point of the composite frame:
+/// stems (PIs, DFF outputs, gates), fanout-branch pins and DFF data
+/// pins, both polarities.
+std::vector<std::optional<fault::Fault>> JustifyFaults(const Circuit& circuit) {
+  std::vector<std::optional<fault::Fault>> faults{std::nullopt};
+  for (const fault::Fault& f : fault::EnumerateFaults(circuit)) {
+    faults.push_back(f);
+  }
+  for (const netlist::NodeId dff : circuit.dffs()) {
+    faults.push_back(fault::Fault{{dff, 0}, false});
+    faults.push_back(fault::Fault{{dff, 0}, true});
+  }
+  return faults;
+}
+
+TEST(Justify, IncrementalSolverMatchesFullEvaluation) {
+  // The event-driven, next-state-cone frame solver must make the very
+  // same decisions as a full re-evaluation of the frame on every step:
+  // equal status, sequence, backtracks and charged evaluations, for
+  // random targets with and without stem, pin and DFF-data-pin faults,
+  // fresh per call or reused across faults (one Justifier per circuit,
+  // as each ATPG worker keeps one).
+  std::vector<Circuit> circuits;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    circuits.push_back(retest::testing::MakeRandomCircuit(seed));
+  }
+  retest::testing::RandomCircuitOptions larger;
+  larger.num_inputs = 5;
+  larger.num_dffs = 7;
+  larger.num_gates = 45;
+  for (std::uint64_t seed = 101; seed <= 106; ++seed) {
+    circuits.push_back(retest::testing::MakeRandomCircuit(seed, larger));
+  }
+  circuits.push_back(retest::testing::MakeFig5N1());
+  circuits.push_back(retest::testing::MakeFig5Pair().applied.circuit);
+
+  retest::testing::TestRng rng{2024};
+  long compared = 0;
+  long justified = 0;
+  long aborted = 0;
+  for (const Circuit& circuit : circuits) {
+    SCOPED_TRACE(circuit.name());
+    Justifier reused(circuit);
+    for (const std::optional<fault::Fault>& fault : JustifyFaults(circuit)) {
+      for (int trial = 0; trial < 4; ++trial) {
+        std::vector<V3> target(static_cast<size_t>(circuit.num_dffs()));
+        for (V3& v : target) {
+          const int draw = rng.Below(3);
+          v = draw == 0 ? V3::k0 : draw == 1 ? V3::k1 : V3::kX;
+        }
+        JustifyOptions options;
+        options.max_depth = 1 + rng.Below(6);
+        options.max_backtracks = 1 + rng.Below(60);
+        // Sometimes make the evaluation limit the one that binds.
+        if (rng.Below(4) == 0) {
+          options.max_evaluations = 1 + rng.Below(40 * circuit.size());
+        }
+        const JustifyResult expected =
+            reference::JustifyState(circuit, target, options, fault);
+        const JustifyResult fresh =
+            JustifyState(circuit, target, options, fault);
+        const JustifyResult again = reused.Run(target, options, fault);
+        const std::string where =
+            (fault ? fault::ToString(circuit, *fault) : "fault-free") +
+            " target " + sim::ToString(target);
+        for (const JustifyResult* actual : {&fresh, &again}) {
+          ASSERT_EQ(actual->status, expected.status) << where;
+          ASSERT_EQ(actual->sequence, expected.sequence) << where;
+          ASSERT_EQ(actual->backtracks, expected.backtracks) << where;
+          ASSERT_EQ(actual->evaluations, expected.evaluations) << where;
+        }
+        // The reused justifier only skips the fault's baseline frame.
+        ASSERT_LE(again.gate_evals, fresh.gate_evals) << where;
+        ++compared;
+        justified += expected.status == JustifyStatus::kJustified ? 1 : 0;
+        aborted += expected.status == JustifyStatus::kAborted ? 1 : 0;
+      }
+    }
+  }
+  // Not vacuous: every outcome occurs.
+  EXPECT_GT(compared, 1000);
+  EXPECT_GT(justified, 0);
+  EXPECT_GT(aborted, 0);
+  EXPECT_GT(compared - justified - aborted, 0);
 }
 
 TEST(Engine, JustificationStyleDetectsAndVerifies) {

@@ -225,5 +225,66 @@ TEST(Integration, SixteenPaperCircuitsAreByteStable) {
   }
 }
 
+/// Everything a justification-style ATPG run commits, as one string:
+/// per-fault status, the concatenated test stream and the work count.
+std::string AtpgFingerprint(const atpg::AtpgResult& result) {
+  std::string text;
+  for (const atpg::FaultStatus status : result.status) {
+    text += static_cast<char>('0' + static_cast<int>(status));
+  }
+  text += '|';
+  for (const auto& vector : result.ConcatenatedTests()) {
+    text += sim::ToString(vector);
+    text += ',';
+  }
+  text += '|';
+  text += std::to_string(result.evaluations);
+  return text;
+}
+
+TEST(Integration, JustificationAtpgIsByteStable) {
+  // The Table II engine at the perfbench `justify` limits: HITEC-style
+  // justification, no random phase, 8 PODEM / 48 justification
+  // backtracks and no wall-clock limit, so every search ends on its
+  // deterministic limits.  Speed-ups of PODEM or of the justification
+  // frame solver must leave every status, test vector and charged
+  // evaluation unchanged, at 1 and at 4 threads.
+  atpg::AtpgOptions options;
+  options.style = atpg::AtpgStyle::kJustification;
+  options.random_rounds = 0;
+  options.backtracks_per_fault = 8;
+  options.justify_backtracks = 48;
+  options.time_budget_ms = 24L * 3600 * 1000;
+
+  const auto retimed_of = [](const Circuit& circuit) {
+    const retime::BuildResult build = retime::BuildGraph(circuit);
+    const auto min_period = retime::MinimizePeriod(build.graph);
+    const auto min_reg = retime::MinimizeRegisters(
+        build.graph, min_period.period, &min_period.retiming);
+    return retime::ApplyRetiming(circuit, build, min_reg.retiming).circuit;
+  };
+  const Circuit dk16 = SynthesizeVariant(kPaperVariants[0]);
+  const Circuit s820 = SynthesizeVariant(kPaperVariants[7]);  // s820.jc.sd
+  const struct {
+    Circuit circuit;
+    std::uint64_t expected;
+  } cases[] = {
+      {dk16, 0x2eb855a946a9dfc9ull},
+      {retimed_of(dk16), 0x0eebf445bdd93179ull},
+      {retimed_of(s820), 0x45cb87f00c94f377ull},
+  };
+  for (const auto& entry : cases) {
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE(entry.circuit.name() + " threads=" +
+                   std::to_string(threads));
+      options.num_threads = threads;
+      const atpg::AtpgResult result = atpg::RunAtpg(entry.circuit, options);
+      EXPECT_FALSE(result.preempted);
+      EXPECT_EQ(Fnv1a(AtpgFingerprint(result)), entry.expected)
+          << std::hex << Fnv1a(AtpgFingerprint(result));
+    }
+  }
+}
+
 }  // namespace
 }  // namespace retest
